@@ -51,8 +51,8 @@ std::unique_ptr<Fabric> make_fabric(Graph& g, const SystemConfig& cfg, Placement
 
 std::size_t TopologySnapshot::memory_bytes() const {
   std::size_t bytes = sizeof(TopologySnapshot);
-  bytes += graph.device_count() * (sizeof(Device) + 32);  // label + out-list slack
-  bytes += graph.link_count() * (sizeof(Link) + sizeof(LinkId));
+  bytes += graph.device_count() * (sizeof(Device) + 32);  // label + adjacency slack
+  bytes += graph.link_count() * (sizeof(Link) + 2 * sizeof(LinkId));  // + out/in lists
   for (const NodeDevices& n : node_devices) {
     bytes += sizeof(NodeDevices) +
              (n.gpus.size() + n.numas.size() + n.nics.size() + n.closest_nic.size() +

@@ -18,8 +18,8 @@ std::string pct(SimTime part, SimTime whole) {
 
 std::string stage_label(const SpanProfile& s) {
   std::string label = s.kind;
-  if (s.round >= 0) label += " " + std::to_string(s.round);
-  if (!s.algorithm.empty()) label += " (" + s.algorithm + ")";
+  if (s.round >= 0) label.append(" ").append(std::to_string(s.round));
+  if (!s.algorithm.empty()) label.append(" (").append(s.algorithm).append(")");
   return label;
 }
 
@@ -62,9 +62,10 @@ void print_profile(std::ostream& os, const std::vector<OpProfile>& ops, const Gr
         std::string span = "-";
         if (graph != nullptr && h.link != kInvalidLink) {
           const Link& link = graph->link(h.link);
-          span = graph->device(link.src).label + ">" + graph->device(link.dst).label;
+          span = graph->device(link.src).label;
+          span.append(">").append(graph->device(link.dst).label);
         }
-        hot.add_row({"L" + std::to_string(h.link), span, us(h.contention),
+        hot.add_row({std::string("L").append(std::to_string(h.link)), span, us(h.contention),
                      std::to_string(h.throttles)});
       }
       hot.print(os);

@@ -158,9 +158,10 @@ void TimeSeries::render_heatmap(std::ostream& os, int max_links) const {
   std::vector<std::string> labels(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Link& link = graph_.link(rows[i].link);
-    labels[i] = "L" + std::to_string(rows[i].link) + " " +
-                graph_.device(link.src).label + ">" + graph_.device(link.dst).label;
-    label_width = std::max(label_width, labels[i].size());
+    std::string& label = labels[i];
+    label.append("L").append(std::to_string(rows[i].link)).append(" ");
+    label.append(graph_.device(link.src).label).append(">").append(graph_.device(link.dst).label);
+    label_width = std::max(label_width, label.size());
   }
   for (std::size_t i = 0; i < rows.size(); ++i) {
     os << "  " << labels[i] << std::string(label_width - labels[i].size(), ' ') << " |";

@@ -638,6 +638,7 @@ void Network::solve_components() {
     }
     return;
   }
+  assert(components_link_disjoint());
   // Component i -> shard i % shards_: a pure function of discovery order, so
   // the work split (and every cache stream) is reproducible run to run.
   if (pool_ == nullptr || pool_->workers() < shards_ - 1) {
@@ -652,6 +653,19 @@ void Network::solve_components() {
       solve_component(ctx, shard, comp_offset_[i], comp_offset_[i + 1]);
     }
   });
+}
+
+bool Network::components_link_disjoint() const {
+  std::vector<std::size_t> owner(graph_.link_count(), SIZE_MAX);
+  for (std::size_t c = 0; c + 1 < comp_offset_.size(); ++c) {
+    for (std::uint32_t i = comp_offset_[c]; i < comp_offset_[c + 1]; ++i) {
+      for (const LinkId l : route_[comp_slots_[i]]) {
+        if (owner[l] != SIZE_MAX && owner[l] != c) return false;
+        owner[l] = c;
+      }
+    }
+  }
+  return true;
 }
 
 void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,

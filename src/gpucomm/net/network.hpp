@@ -267,6 +267,10 @@ class Network {
   /// Solve comp_offset_ ranges [first..comp count) across shards_ and write
   /// rates (and telemetry trace state) back to the slots.
   void solve_components();
+  /// The invariant the sharded solve relies on: no link is on the routes of
+  /// two components. Shards write capacity_ and read the noise field (whose
+  /// per-link draws settle on first read) without locks. Debug check.
+  bool components_link_disjoint() const;
   void solve_component(ShardCtx& ctx, int shard, std::uint32_t begin, std::uint32_t end);
   /// Post-allocation congestion coupling for one component: degrade flows
   /// crossing switches with an incast-saturated port on their VL.

@@ -6,9 +6,11 @@
 namespace gpucomm {
 
 namespace {
+constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+
 // splitmix64: tiny, well-distributed, and trivially seedable.
 std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ull;
+  x += kGamma;
   std::uint64_t z = x;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
@@ -33,6 +35,8 @@ Rng Rng::fork(std::string_view tag) const {
 }
 
 std::uint64_t Rng::next_u64() { return splitmix64(state_); }
+
+void Rng::discard(std::uint64_t n) { state_ += n * kGamma; }
 
 double Rng::uniform() {
   // 53 random bits -> [0, 1).

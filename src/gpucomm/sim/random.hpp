@@ -3,6 +3,10 @@
 // One Rng per stochastic component, each seeded from the experiment seed and
 // a component tag, so adding a component does not perturb the streams of the
 // others.
+//
+// Every draw below consumes a fixed number of next_u64() calls, stated per
+// method, so a consumer can skip a draw with discard() and replay it later
+// from a copy of the generator taken at the same position.
 #pragma once
 
 #include <cstdint>
@@ -19,25 +23,32 @@ class Rng {
 
   std::uint64_t next_u64();
 
-  /// Uniform in [0, 1).
+  /// Advance the stream as n calls to next_u64() would, in O(1): splitmix64
+  /// moves its state by a fixed increment per draw.
+  void discard(std::uint64_t n);
+
+  /// Uniform in [0, 1). One draw.
   double uniform();
-  /// Uniform in [lo, hi).
+  /// Uniform in [lo, hi). One draw.
   double uniform(double lo, double hi);
-  /// Uniform integer in [0, n).
+  /// Uniform integer in [0, n). One draw (none when n == 0).
   std::uint64_t uniform_int(std::uint64_t n);
 
-  /// Exponential with the given mean.
+  /// Exponential with the given mean. One draw.
   double exponential(double mean);
 
-  /// Lognormal: exp(N(mu, sigma^2)).
+  /// Lognormal: exp(N(mu, sigma^2)). Two draws.
   double lognormal(double mu, double sigma);
 
   /// Standard normal via Box-Muller (no cached spare; keeps state minimal).
+  /// Two draws.
   double normal(double mean, double stddev);
 
-  /// Bounded Pareto on [lo, hi] with shape alpha (heavy-tailed delays).
+  /// Bounded Pareto on [lo, hi] with shape alpha (heavy-tailed delays). One
+  /// draw.
   double bounded_pareto(double lo, double hi, double alpha);
 
+  /// One draw.
   bool bernoulli(double p) { return uniform() < p; }
 
   /// Fisher-Yates shuffle of [0, n) indices written into out.

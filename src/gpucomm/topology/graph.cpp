@@ -33,6 +33,7 @@ DeviceId Graph::add_device(Device d) {
   const DeviceId id = static_cast<DeviceId>(devices_.size());
   devices_.push_back(std::move(d));
   out_.emplace_back();
+  in_.emplace_back();
   return id;
 }
 
@@ -41,6 +42,7 @@ LinkId Graph::add_link(Link l) {
   assert(l.capacity > 0);
   const LinkId id = static_cast<LinkId>(links_.size());
   out_[l.src].push_back(id);
+  in_[l.dst].push_back(id);
   links_.push_back(l);
   return id;
 }

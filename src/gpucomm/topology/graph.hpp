@@ -80,8 +80,11 @@ class Graph {
   std::size_t device_count() const { return devices_.size(); }
   std::size_t link_count() const { return links_.size(); }
 
-  /// Outgoing link ids of a device.
+  /// Outgoing link ids of a device, ascending.
   const std::vector<LinkId>& out_links(DeviceId id) const { return out_[id]; }
+  /// Incoming link ids of a device, ascending: the reverse adjacency the
+  /// routers search from the destination.
+  const std::vector<LinkId>& in_links(DeviceId id) const { return in_[id]; }
 
   /// First direct link src->dst, or kInvalidLink.
   LinkId find_link(DeviceId src, DeviceId dst) const;
@@ -93,6 +96,7 @@ class Graph {
   std::vector<Device> devices_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> out_;
+  std::vector<std::vector<LinkId>> in_;
 };
 
 /// A route is the ordered list of directed links a transfer traverses.

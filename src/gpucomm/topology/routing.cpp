@@ -8,22 +8,11 @@
 namespace gpucomm {
 
 namespace {
-// In-links view (reverse adjacency) under the filter, built once per query.
-std::vector<std::vector<LinkId>> in_links(const Graph& g, const RouteOptions& opts) {
-  std::vector<std::vector<LinkId>> in(g.device_count());
-  for (LinkId id = 0; id < g.link_count(); ++id) {
-    const Link& l = g.link(id);
-    if (opts.link_filter && !opts.link_filter(id, l)) continue;
-    in[l.dst].push_back(id);
-  }
-  return in;
-}
-
-// Breadth-first distances from every device to `dst` (reverse search), so the
-// forward greedy walk can follow the shortest-path DAG. Exploration stops at
-// `max_hops` links.
-std::vector<int> distances_to(const Graph& g, DeviceId dst,
-                              const std::vector<std::vector<LinkId>>& in, int max_hops) {
+// Breadth-first distances from every device to `dst` (reverse search over the
+// graph's in-links, filtered per query), so the forward greedy walk can
+// follow the shortest-path DAG. Exploration stops at `max_hops` links.
+std::vector<int> distances_to(const Graph& g, DeviceId dst, const RouteOptions& opts,
+                              int max_hops) {
   std::vector<int> dist(g.device_count(), -1);
   std::queue<DeviceId> q;
   dist[dst] = 0;
@@ -32,12 +21,12 @@ std::vector<int> distances_to(const Graph& g, DeviceId dst,
     const DeviceId cur = q.front();
     q.pop();
     if (dist[cur] >= max_hops) continue;
-    for (const LinkId id : in[cur]) {
-      const DeviceId prev = g.link(id).src;
-      if (dist[prev] < 0) {
-        dist[prev] = dist[cur] + 1;
-        q.push(prev);
-      }
+    for (const LinkId id : g.in_links(cur)) {
+      const Link& l = g.link(id);
+      if (dist[l.src] >= 0) continue;
+      if (opts.link_filter && !opts.link_filter(id, l)) continue;
+      dist[l.src] = dist[cur] + 1;
+      q.push(l.src);
     }
   }
   return dist;
@@ -46,9 +35,9 @@ std::vector<int> distances_to(const Graph& g, DeviceId dst,
 // When the bounded search failed, decide whether src is truly disconnected
 // from dst or merely beyond the hop budget (an unbounded BFS reaches it).
 RouteFailure classify_failure(const Graph& g, DeviceId src, DeviceId dst,
-                              const std::vector<std::vector<LinkId>>& in) {
+                              const RouteOptions& opts) {
   const std::vector<int> full =
-      distances_to(g, dst, in, std::numeric_limits<int>::max());
+      distances_to(g, dst, opts, std::numeric_limits<int>::max());
   return full[src] < 0 ? RouteFailure::kUnreachable : RouteFailure::kHopBudget;
 }
 }  // namespace
@@ -57,10 +46,9 @@ std::optional<Route> shortest_route(const Graph& g, DeviceId src, DeviceId dst,
                                     const RouteOptions& opts, RouteDiag* diag) {
   if (diag != nullptr) diag->failure = RouteFailure::kNone;
   if (src == dst) return Route{};
-  const std::vector<std::vector<LinkId>> in = in_links(g, opts);
-  const std::vector<int> dist = distances_to(g, dst, in, opts.max_hops);
+  const std::vector<int> dist = distances_to(g, dst, opts, opts.max_hops);
   if (dist[src] < 0) {
-    if (diag != nullptr) diag->failure = classify_failure(g, src, dst, in);
+    if (diag != nullptr) diag->failure = classify_failure(g, src, dst, opts);
     return std::nullopt;
   }
 
@@ -90,10 +78,9 @@ std::optional<Route> shortest_route(const Graph& g, DeviceId src, DeviceId dst,
 
 int hop_distance(const Graph& g, DeviceId src, DeviceId dst, const RouteOptions& opts) {
   if (src == dst) return 0;
-  const std::vector<std::vector<LinkId>> in = in_links(g, opts);
-  const std::vector<int> dist = distances_to(g, dst, in, opts.max_hops);
+  const std::vector<int> dist = distances_to(g, dst, opts, opts.max_hops);
   if (dist[src] >= 0) return dist[src];
-  return classify_failure(g, src, dst, in) == RouteFailure::kUnreachable
+  return classify_failure(g, src, dst, opts) == RouteFailure::kUnreachable
              ? kHopsUnreachable
              : kHopsBudgetExceeded;
 }

@@ -8,6 +8,12 @@
 // smallest next device id on a shortest path is taken). Determinism matters:
 // the edge-forwarding-index analysis of Sec. IV-A and the simulator itself
 // must agree on which link a pair of GPUs loads.
+//
+// A query searches backwards from the destination over Graph::in_links (kept
+// by the graph as links are added) and applies RouteOptions::link_filter to
+// each link it reaches, so it costs what it explores: an intra-node route
+// under gpu_fabric_options() never looks at the machine fabric. Filters are
+// evaluated per query, so fault state is always read live.
 #pragma once
 
 #include <functional>

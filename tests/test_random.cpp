@@ -131,5 +131,35 @@ TEST(RngTest, ZeroSeedIsValid) {
   EXPECT_NE(rng.next_u64(), 0u);
 }
 
+TEST(RngTest, DiscardEqualsThatManyDraws) {
+  for (const std::uint64_t n : {0ull, 1ull, 2ull, 3ull, 17ull, 1000ull, 123456ull}) {
+    Rng drawn(99), skipped(99);
+    for (std::uint64_t i = 0; i < n; ++i) drawn.next_u64();
+    skipped.discard(n);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(skipped.next_u64(), drawn.next_u64()) << "n=" << n;
+  }
+}
+
+TEST(RngTest, DrawCountsAreFixed) {
+  // The per-method draw counts in random.hpp: a consumer that skips a draw
+  // with discard() lands where the draw itself would have left the stream.
+  const auto check = [](auto draw, std::uint64_t draws) {
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      Rng a(seed), b(seed);
+      draw(a);
+      b.discard(draws);
+      EXPECT_EQ(a.next_u64(), b.next_u64()) << "seed " << seed;
+    }
+  };
+  check([](Rng& r) { r.uniform(); }, 1);
+  check([](Rng& r) { r.uniform(0.5, 0.75); }, 1);
+  check([](Rng& r) { r.uniform_int(7); }, 1);
+  check([](Rng& r) { r.exponential(2.0); }, 1);
+  check([](Rng& r) { r.bernoulli(0.55); }, 1);
+  check([](Rng& r) { r.bounded_pareto(1.0, 45.0, 1.2); }, 1);
+  check([](Rng& r) { r.normal(0.0, 1.0); }, 2);
+  check([](Rng& r) { r.lognormal(-2.4, 0.8); }, 2);
+}
+
 }  // namespace
 }  // namespace gpucomm
