@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -213,9 +214,21 @@ inline void emit(const Table& table, const std::string& csv_name) {
   table.write_csv(path);
   std::cout << "\n[csv] " << path << "\n";
   // Artifact parity: data/description.csv records every produced file
-  // (the original artifact keeps run metadata the same way).
-  std::ofstream desc(data_dir() + "/description.csv", std::ios::app);
-  if (desc) desc << csv_name << "," << table.rows() << " rows\n";
+  // (the original artifact keeps run metadata the same way), one row per
+  // CSV name sorted by name, so a rerun replaces its row instead of
+  // appending another.
+  const std::string desc_path = data_dir() + "/description.csv";
+  std::map<std::string, std::string> rows;
+  {
+    std::ifstream in(desc_path);
+    for (std::string line; std::getline(in, line);) {
+      const std::size_t comma = line.find(',');
+      if (comma != std::string::npos) rows[line.substr(0, comma)] = line.substr(comma + 1);
+    }
+  }
+  rows[csv_name] = std::to_string(table.rows()) + " rows";
+  std::ofstream desc(desc_path, std::ios::trunc);
+  for (const auto& [name, rest] : rows) desc << name << "," << rest << "\n";
 }
 
 inline void header(const std::string& figure, const std::string& description) {

@@ -39,32 +39,20 @@ struct SolverStats {
   /// Events whose affected set was empty (e.g. the last flow of an isolated
   /// component completed): no solve at all, rates provably unchanged.
   std::uint64_t no_work_events = 0;
-  /// Component subproblems handed to a fairshare solver (or served from an
-  /// allocation cache), across all shards.
+  /// Component subproblems handed to a fairshare solver, across all shards.
   std::uint64_t component_solves = 0;
-  /// Exact-compare allocation-cache hits/misses across all shards. These
-  /// counts may vary with the shard count (the per-shard cache streams
-  /// differ); the resulting rates never do.
+  /// No longer counted: they read 0. The per-component allocation cache,
+  /// structural keying and warm-start seeding they counted were removed
+  /// (docs/PERFORMANCE.md); the fields stay because the benchmark runner
+  /// still reads them.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Cache hits served by structural keying (PR 10): the component matched a
-  /// cached entry in shape and capacities but not in the exact flow segments
-  /// (different link/flow ids), so the cached rates were remapped instead of
-  /// re-solved. Disjoint from cache_hits; like it, shard-count dependent.
   std::uint64_t cache_structural_hits = 0;
-  // Warm-start seeding of component solves (kIncremental only; counts cover
-  // solver-invoked solves, i.e. cache misses). Each solve increments exactly
-  // one of: warm_hits (seed verified through every filling round), one
-  // warm_fallback_* (seed abandoned mid-verification, cold re-solve), or
-  // warm_misses (no usable seed: no prior record, or the flow set changed by
-  // more than +-1 flow, or capacities moved under a matched flow).
   std::uint64_t warm_hits = 0;
   std::uint64_t warm_misses = 0;
-  std::uint64_t warm_fallback_order = 0;     // a predicted freeze failed re-check
-  std::uint64_t warm_fallback_tight = 0;     // missed freeze: an unpredicted flow
-                                             // crossed a filled link, or an unfrozen
-                                             // private cap bound below the round level
-  std::uint64_t warm_fallback_progress = 0;  // a predicted round froze nothing
+  std::uint64_t warm_fallback_order = 0;
+  std::uint64_t warm_fallback_tight = 0;
+  std::uint64_t warm_fallback_progress = 0;
   // Why full solves happened (each full solve increments exactly one):
   std::uint64_t fallback_first = 0;       // no prior allocation state
   std::uint64_t fallback_link_state = 0;  // fault flip / degradation (routing)

@@ -7,10 +7,12 @@
 #
 # Run from the repository root with a configured build tree; the script
 # builds the bench targets it runs. Fails when a produced CSV differs from
-# data/, or when a checked-in figure CSV was not produced. Not compared:
-# data/description.csv (an append log of every run, so its contents depend
-# on run history), the perf_*.csv wall-clock tables (host timings, written
-# by perf_wallclock/perf_server) and fig09_exact_point.csv (written only by
+# data/, when a checked-in figure CSV was not produced, or when
+# data/description.csv (one "name,N rows" line per CSV) disagrees with the
+# rows the run wrote there. One bench runs twice, so a second run that adds
+# a row instead of replacing its own fails the gate. Not compared: the
+# perf_*.csv wall-clock tables (host timings, written by
+# perf_wallclock/perf_server) and fig09_exact_point.csv (written only by
 # `fig09_alltoall_scalability --exact-point`, a long single-point run).
 set -euo pipefail
 
@@ -40,6 +42,21 @@ for b in "${benches[@]}"; do
   ms=$((($(date +%s%N) - start) / 1000000))
   printf '%-30s %4d.%03d s\n' "$b" $((ms / 1000)) $((ms % 1000))
 done
+
+# A rerun must replace its description row, not append a second one.
+GPUCOMM_DATA_DIR="$out" "$build/bench/table1_systems" > /dev/null 2>&1
+dups=$(cut -d, -f1 "$out/description.csv" | sort | uniq -d)
+if [ -n "$dups" ]; then
+  echo "FAIL description.csv lists a CSV more than once after a rerun:"
+  echo "$dups"
+  status=1
+fi
+while IFS= read -r row; do
+  if ! grep -Fxq "$row" data/description.csv; then
+    echo "FAIL data/description.csv lacks the row '$row'"
+    status=1
+  fi
+done < "$out/description.csv"
 
 for csv in "$out"/*.csv; do
   name=$(basename "$csv")
