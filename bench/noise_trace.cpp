@@ -48,11 +48,10 @@ int main(int argc, char** argv) {
                      fmt(gs.mean, 1), fmt(gs.min, 1)});
   }
 
+  emit(trace, "noise_trace_leonardo.csv");
+  std::cout << "\n";
   summary.print(std::cout);
-  trace.write_csv(data_dir() + "/noise_trace_leonardo.csv");
-  std::cout << "\n[csv] " << data_dir() << "/noise_trace_leonardo.csv (" << 2 * iters
-            << " per-iteration samples)\n"
-            << "\n(SL 0 shows the production-noise tail the aggregate statistics hide;\n"
+  std::cout << "\n(SL 0 shows the production-noise tail the aggregate statistics hide;\n"
             << " SL 1 is flat — exactly why the paper records per-iteration timings)\n";
   return 0;
 }

@@ -238,7 +238,7 @@ ReplayScript make_replay_script(int regions, int flows, std::uint64_t seed) {
 
 /// Replay the script through one solver configuration; returns wall-clock ms
 /// and appends every (flow index, completion ps) pair to `delivered`.
-double run_replay(const ReplayScript& sc, SolverMode mode, int shards,
+double run_replay(const ReplayScript& sc, SolverMode mode,
                   std::vector<std::pair<std::uint32_t, std::int64_t>>& delivered) {
   Graph g;
   struct Region {
@@ -264,7 +264,6 @@ double run_replay(const ReplayScript& sc, SolverMode mode, int shards,
   Engine engine;
   Network net(engine, g);
   net.set_solver_mode(mode);
-  net.set_shards(shards);
   delivered.reserve(delivered.size() + sc.entries.size());
 
   // One engine event per wave; the network coalesces the wave's starts into
@@ -302,31 +301,19 @@ void replay_section(Table& t) {
   double gate_speedup = 0;
   for (const Scale s : {Scale{64, 1 << 16}, Scale{256, 1 << 18}, Scale{1024, 1 << 20}}) {
     const ReplayScript sc = make_replay_script(s.regions, s.flows, /*seed=*/0xcafe + s.flows);
-    std::vector<std::pair<std::uint32_t, std::int64_t>> full, inc, sharded;
+    std::vector<std::pair<std::uint32_t, std::int64_t>> full, inc;
 
-    const double full_ms = run_replay(sc, SolverMode::kFullResolve, 1, full);
-    const double inc_ms = run_replay(sc, SolverMode::kIncremental, 1, inc);
+    const double full_ms = run_replay(sc, SolverMode::kFullResolve, full);
+    const double inc_ms = run_replay(sc, SolverMode::kIncremental, inc);
     if (inc != full) {
       std::cerr << "error: incremental replay diverged from the full-resolve reference\n";
       std::exit(1);
     }
 
-    // Sharded pass only where threads can help; equality is checked in the
-    // differential test suite at any shard count regardless.
-    std::string sharded_col = "-";
-    if (std::thread::hardware_concurrency() > 1) {
-      const double sharded_ms = run_replay(sc, SolverMode::kIncremental, 4, sharded);
-      if (sharded != full) {
-        std::cerr << "error: sharded replay diverged from the full-resolve reference\n";
-        std::exit(1);
-      }
-      sharded_col = fmt(sharded_ms, 1);
-    }
-
     const double speedup = full_ms / inc_ms;
     gate_speedup = speedup;
     t.add_row({std::to_string(16 * s.regions), std::to_string(s.flows), fmt(full_ms, 1),
-               fmt(inc_ms, 1), fmt(speedup, 2), sharded_col});
+               fmt(inc_ms, 1), fmt(speedup, 2)});
   }
   if (gate_speedup < 2.0) {
     std::cerr << "error: incremental speedup below the 2x floor on the largest replay\n";
@@ -365,7 +352,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\n--- incremental: event replay, full re-solve vs incremental "
                "(identical completions) ---\n";
-  Table replay({"links", "flows", "full_ms", "incremental_ms", "speedup", "shards4_ms"});
+  Table replay({"links", "flows", "full_ms", "incremental_ms", "speedup"});
   replay_section(replay);
   emit(replay, "perf_incremental.csv");
   return 0;

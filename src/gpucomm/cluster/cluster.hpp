@@ -32,10 +32,6 @@ struct ClusterOptions {
   /// Instantiate the production-noise field when the system has one
   /// (Leonardo). Disable to model a drained system.
   bool enable_noise = true;
-  /// Worker shards for the flow network's rate solver (Network::set_shards).
-  /// Rates are bit-identical at any shard count; this trades threads for
-  /// wall-clock on large machines.
-  int net_shards = 1;
   std::uint64_t seed = 42;
 };
 

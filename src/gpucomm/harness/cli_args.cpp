@@ -181,11 +181,6 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
         return fail(flag + " requires a positive node count");
       }
       a.nodes = static_cast<int>(n);
-    } else if (flag == "--net-shards") {
-      if (!need(v) || !parse_int(v, 1, 64, n)) {
-        return fail(flag + " requires a shard count in [1, 64]");
-      }
-      a.net_shards = static_cast<int>(n);
     } else if (flag == "--serve") {
       a.serve = true;
     } else if (flag == "--serve-jobs") {

@@ -75,10 +75,6 @@ struct CliArgs {
   /// host --gpus ranks (checked against the system's gpus_per_node at run
   /// time, not parse time).
   int nodes = 0;
-  /// Flow-network solver shards (ClusterOptions::net_shards). Rates are
-  /// bit-identical at any value; >1 spends threads to cut wall-clock on
-  /// large machines.
-  int net_shards = 1;
   /// --serve: run the persistent scenario server (JSON-lines on
   /// stdin/stdout, or on --serve-socket) instead of one experiment. Only the
   /// --serve-* flags may accompany it; every scenario parameter arrives per

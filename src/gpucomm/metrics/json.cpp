@@ -138,194 +138,4 @@ JsonWriter& JsonWriter::null() {
   return *this;
 }
 
-// --- validation --------------------------------------------------------------
-
-namespace {
-
-/// Recursive-descent validator; tracks position for error reporting.
-class Validator {
- public:
-  explicit Validator(std::string_view text) : text_(text) {}
-
-  bool run(std::string* error) {
-    skip_ws();
-    bool ok = value();
-    if (ok) {
-      skip_ws();
-      if (pos_ != text_.size()) {
-        set_err("trailing characters after top-level value");
-        ok = false;
-      }
-    }
-    if (!ok && error != nullptr) {
-      *error = (err_.empty() ? "invalid JSON" : err_) + " at byte " + std::to_string(err_pos_);
-    }
-    return ok;
-  }
-
- private:
-
-  void set_err(const char* what) {
-    if (err_.empty()) {
-      err_ = what;
-      err_pos_ = pos_;
-    }
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  bool eat(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) {
-      set_err("invalid literal");
-      return false;
-    }
-    pos_ += lit.size();
-    return true;
-  }
-
-  bool string() {
-    if (!eat('"')) {
-      set_err("expected string");
-      return false;
-    }
-    while (pos_ < text_.size()) {
-      const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
-      if (c == '"') return true;
-      if (c < 0x20) {
-        --pos_;
-        set_err("unescaped control character in string");
-        return false;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char e = text_[pos_++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= text_.size() || !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              set_err("bad \\u escape");
-              return false;
-            }
-            ++pos_;
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' && e != 'n' &&
-                   e != 'r' && e != 't') {
-          set_err("bad escape");
-          return false;
-        }
-      }
-    }
-    set_err("unterminated string");
-    return false;
-  }
-
-  bool digits() {
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    return true;
-  }
-
-  bool number() {
-    eat('-');
-    if (peek() == '0') {
-      ++pos_;
-    } else if (!digits()) {
-      set_err("bad number");
-      return false;
-    }
-    if (eat('.') && !digits()) {
-      set_err("bad fraction");
-      return false;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (!digits()) {
-        set_err("bad exponent");
-        return false;
-      }
-    }
-    return true;
-  }
-
-  bool value() {
-    if (++depth_ > 256) {
-      set_err("nesting too deep");
-      return false;
-    }
-    bool ok = false;
-    switch (peek()) {
-      case '{': ok = object(); break;
-      case '[': ok = array(); break;
-      case '"': ok = string(); break;
-      case 't': ok = literal("true"); break;
-      case 'f': ok = literal("false"); break;
-      case 'n': ok = literal("null"); break;
-      default: ok = number(); break;
-    }
-    --depth_;
-    return ok;
-  }
-
-  bool object() {
-    eat('{');
-    skip_ws();
-    if (eat('}')) return true;
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!eat(':')) {
-        set_err("expected ':'");
-        return false;
-      }
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat('}')) return true;
-      set_err("expected ',' or '}'");
-      return false;
-    }
-  }
-
-  bool array() {
-    eat('[');
-    skip_ws();
-    if (eat(']')) return true;
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat(']')) return true;
-      set_err("expected ',' or ']'");
-      return false;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  std::string err_;
-  std::size_t err_pos_ = 0;
-};
-
-}  // namespace
-
-bool json_valid(std::string_view text, std::string* error) {
-  return Validator(text).run(error);
-}
-
 }  // namespace gpucomm::metrics

@@ -1,12 +1,11 @@
-// Minimal deterministic JSON emission (and validation) for run artifacts.
+// Minimal deterministic JSON emission for run artifacts.
 //
 // JsonWriter streams structurally-correct JSON: commas and indentation are
 // managed by a state stack, strings are escaped, and doubles are rendered
 // with std::to_chars shortest round-trip form, so the same data always
 // produces byte-identical output (the determinism the BENCH_*.json perf
-// trajectory and --metrics-out artifacts rely on). json_valid() is a strict
-// structural validator (full grammar, no DOM) used by tests and the CI
-// smoke job to reject malformed emission.
+// trajectory and --metrics-out artifacts rely on). Parsing and validation
+// live in one place, serve::parse_json (serve/json_value.hpp).
 #pragma once
 
 #include <cstdint>
@@ -73,10 +72,5 @@ class JsonWriter {
   std::vector<Level> stack_;
   bool pending_key_ = false;
 };
-
-/// Strict structural JSON validation (RFC 8259 grammar, numbers included).
-/// On failure returns false and, when `error` is non-null, a one-line
-/// description with the byte offset of the first problem.
-bool json_valid(std::string_view text, std::string* error = nullptr);
 
 }  // namespace gpucomm::metrics

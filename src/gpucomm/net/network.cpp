@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <utility>
-
-#include "gpucomm/net/shard_pool.hpp"
 
 namespace gpucomm {
 
@@ -16,51 +13,10 @@ namespace {
 constexpr double kEpsilonBits = 1e-6;
 }  // namespace
 
-/// Everything one solver shard needs to turn a component into rates without
-/// touching another shard's state: the fairshare solver, subproblem assembly
-/// scratch, congestion-coupling scratch, and its share of the counters.
-/// Component subproblems are link-disjoint, so shards only ever write
-/// disjoint slots/links of the shared arrays.
-struct Network::ShardCtx {
-  FairshareSolver solver;
-  FairshareTrace trace;
-  std::vector<const Route*> routes;
-  std::vector<Bandwidth> caps;
-
-  // Congestion scratch (epoch-stamped; replaces the per-call unordered_maps
-  // of the pre-PR-7 whole-set implementation). One LinkVl per (link, vl) with flows,
-  // chained per link; one DevVl per warm (switch, vl), chained per device.
-  struct LinkVl {
-    int vl = 0;
-    int count = 0;
-    double sum = 0;
-    std::int32_t flows_head = -1;
-    std::int32_t next = -1;
-    LinkId link = kInvalidLink;
-    bool congested = false;
-  };
-  struct DevVl {
-    int vl = 0;
-    std::int32_t next = -1;
-  };
-  std::vector<std::uint64_t> cg_link_epoch, cg_dev_epoch;
-  std::vector<std::int32_t> cg_link_first, cg_dev_first;
-  std::vector<LinkVl> cg_lvl;
-  std::vector<DevVl> cg_dvl;
-  std::vector<std::uint32_t> cg_ent_slot;
-  std::vector<std::int32_t> cg_ent_next;
-  std::vector<DeviceId> cg_origins;
-  std::uint64_t cg_epoch = 0;
-
-  net::SolverStats stats;  // component/shard counters only
-};
-
 Network::Network(Engine& engine, const Graph& graph)
-    : engine_(engine), graph_(graph), last_advance_(engine.now()) {
-  shard_ctx_.push_back(std::make_unique<ShardCtx>());
-}
+    : engine_(engine), graph_(graph), last_advance_(engine.now()) {}
 
-Network::~Network() { net::SolverStatsRegistry::global().add(solver_stats()); }
+Network::~Network() { net::SolverStatsRegistry::global().add(stats_); }
 
 void Network::set_noise(NoiseField* noise) {
   noise_ = noise;
@@ -80,25 +36,6 @@ void Network::set_congestion(SwitchCongestion c) {
 void Network::set_telemetry(telemetry::Sink* sink) {
   telemetry_ = sink;
   request_full_solve(FullReason::kConfig);
-}
-
-void Network::set_shards(int shards) {
-  shards_ = std::clamp(shards, 1, 64);
-  while (shard_ctx_.size() < static_cast<std::size_t>(shards_)) {
-    shard_ctx_.push_back(std::make_unique<ShardCtx>());
-  }
-  if (pool_ != nullptr && pool_->workers() < shards_ - 1) pool_.reset();
-}
-
-const net::SolverStats& Network::solver_stats() const {
-  stats_merged_ = stats_;
-  if (stats_merged_.shard_solves.size() < static_cast<std::size_t>(shards_)) {
-    stats_merged_.shard_solves.resize(static_cast<std::size_t>(shards_), 0);
-  }
-  for (const auto& ctx : shard_ctx_) {
-    if (ctx != nullptr) stats_merged_.merge(ctx->stats);
-  }
-  return stats_merged_;
 }
 
 void Network::request_full_solve(FullReason reason) {
@@ -515,62 +452,24 @@ void Network::reallocate_and_schedule() {
 }
 
 void Network::solve_components() {
-  const std::size_t ncomp = comp_offset_.size() - 1;
-  if (ncomp == 0) return;
-  if (shards_ <= 1 || ncomp <= 1) {
-    for (std::size_t i = 0; i < ncomp; ++i) {
-      solve_component(*shard_ctx_[0], 0, comp_offset_[i], comp_offset_[i + 1]);
-    }
-    return;
+  for (std::size_t i = 0; i + 1 < comp_offset_.size(); ++i) {
+    solve_component(comp_offset_[i], comp_offset_[i + 1]);
   }
-  assert(components_link_disjoint());
-  // Component i -> shard i % shards_: a pure function of discovery order, so
-  // the work split is reproducible run to run.
-  if (pool_ == nullptr || pool_->workers() < shards_ - 1) {
-    pool_ = std::make_unique<net::ShardPool>(shards_ - 1);
-  }
-  const int tasks = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(shards_), ncomp));
-  pool_->run(tasks, [&](int shard) {
-    ShardCtx& ctx = *shard_ctx_[static_cast<std::size_t>(shard)];
-    for (std::size_t i = static_cast<std::size_t>(shard); i < ncomp;
-         i += static_cast<std::size_t>(shards_)) {
-      solve_component(ctx, shard, comp_offset_[i], comp_offset_[i + 1]);
-    }
-  });
 }
 
-bool Network::components_link_disjoint() const {
-  std::vector<std::size_t> owner(graph_.link_count(), SIZE_MAX);
-  for (std::size_t c = 0; c + 1 < comp_offset_.size(); ++c) {
-    for (std::uint32_t i = comp_offset_[c]; i < comp_offset_[c + 1]; ++i) {
-      for (const LinkId l : route_[comp_slots_[i]]) {
-        if (owner[l] != SIZE_MAX && owner[l] != c) return false;
-        owner[l] = c;
-      }
-    }
-  }
-  return true;
-}
-
-void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
-                              std::uint32_t end) {
+void Network::solve_component(std::uint32_t begin, std::uint32_t end) {
   const std::uint32_t* slots = comp_slots_.data() + begin;
   const std::uint32_t n = end - begin;
   const bool tracing = telemetry_ != nullptr;
 
-  ++ctx.stats.component_solves;
-  if (ctx.stats.shard_solves.size() <= static_cast<std::size_t>(shard)) {
-    ctx.stats.shard_solves.resize(static_cast<std::size_t>(shard) + 1, 0);
-  }
-  ++ctx.stats.shard_solves[static_cast<std::size_t>(shard)];
+  ++stats_.component_solves;
   const unsigned bucket = static_cast<unsigned>(std::bit_width(n)) - 1;
-  ++ctx.stats.component_size_log2[std::min(bucket, 20u)];
+  ++stats_.component_size_log2[std::min(bucket, 20u)];
 
   // Assemble the subproblem: member routes in ascending FlowId order, the
   // per-flow caps, and the effective capacity of every link they cross.
-  ctx.routes.clear();
-  ctx.caps.clear();
+  sub_routes_.clear();
+  sub_caps_.clear();
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t slot = slots[i];
     // When flows on different VLs share a link each sees the full
@@ -578,29 +477,28 @@ void Network::solve_component(ShardCtx& ctx, int shard, std::uint32_t begin,
     // shares it across all of them -- a work-conserving approximation of
     // round-robin VL arbitration.
     for (const LinkId l : route_[slot]) capacity_[l] = effective_capacity(l, vl_[slot]);
-    ctx.routes.push_back(&route_[slot]);
-    ctx.caps.push_back(rate_cap_[slot] > 0 ? rate_cap_[slot]
-                                           : std::numeric_limits<double>::infinity());
+    sub_routes_.push_back(&route_[slot]);
+    sub_caps_.push_back(rate_cap_[slot] > 0 ? rate_cap_[slot]
+                                            : std::numeric_limits<double>::infinity());
   }
 
   const std::vector<Bandwidth>& rates =
-      ctx.solver.solve(capacity_, ctx.routes, ctx.caps, tracing ? &ctx.trace : nullptr);
+      solver_.solve(capacity_, sub_routes_, sub_caps_, tracing ? &trace_ : nullptr);
   for (std::uint32_t i = 0; i < n; ++i) rate_[slots[i]] = rates[i];
-  if (congestion_.rate_factor < 1.0) apply_congestion_component(ctx, slots, n);
+  if (congestion_.rate_factor < 1.0) apply_congestion_component(slots, n);
   if (tracing) {
     for (std::uint32_t i = 0; i < n; ++i) {
-      bottleneck_[slots[i]] = ctx.trace.bottleneck[i];
+      bottleneck_[slots[i]] = trace_.bottleneck[i];
       for (const LinkId l : route_[slots[i]]) link_sat_[l] = 0;
     }
-    for (const auto& [l, flows] : ctx.trace.saturated) {
+    for (const auto& [l, flows] : trace_.saturated) {
       link_sat_[l] = 1;
       link_sat_count_[l] = flows;
     }
   }
 }
 
-void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slots,
-                                         std::uint32_t count) {
+void Network::apply_congestion_component(const std::uint32_t* slots, std::uint32_t count) {
   // A (link, vl) is incast-congested when >= flow_threshold flows saturate
   // it. The backlog propagates upstream through the buffers of every switch
   // the congesting flows traverse (credit/PFC backpressure), so flows of the
@@ -608,24 +506,24 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
   // inside the component: flows sharing a link share its component, and the
   // switch closure (expand_link) merges components whose flows share a
   // switch, so a per-component pass reproduces the global computation.
-  if (ctx.cg_link_epoch.size() < graph_.link_count()) {
-    ctx.cg_link_epoch.resize(graph_.link_count(), 0);
-    ctx.cg_link_first.resize(graph_.link_count(), -1);
+  if (cg_link_epoch_.size() < graph_.link_count()) {
+    cg_link_epoch_.resize(graph_.link_count(), 0);
+    cg_link_first_.resize(graph_.link_count(), -1);
   }
-  if (ctx.cg_dev_epoch.size() < graph_.device_count()) {
-    ctx.cg_dev_epoch.resize(graph_.device_count(), 0);
-    ctx.cg_dev_first.resize(graph_.device_count(), -1);
+  if (cg_dev_epoch_.size() < graph_.device_count()) {
+    cg_dev_epoch_.resize(graph_.device_count(), 0);
+    cg_dev_first_.resize(graph_.device_count(), -1);
   }
-  ++ctx.cg_epoch;
-  ctx.cg_lvl.clear();
-  ctx.cg_dvl.clear();
-  ctx.cg_ent_slot.clear();
-  ctx.cg_ent_next.clear();
+  ++cg_epoch_;
+  cg_lvl_.clear();
+  cg_dvl_.clear();
+  cg_ent_slot_.clear();
+  cg_ent_next_.clear();
 
-  const auto find_lvl = [&ctx](LinkId l, int vl) -> std::int32_t {
-    if (ctx.cg_link_epoch[l] != ctx.cg_epoch) return -1;
-    for (std::int32_t i = ctx.cg_link_first[l]; i != -1; i = ctx.cg_lvl[i].next) {
-      if (ctx.cg_lvl[i].vl == vl) return i;
+  const auto find_lvl = [this](LinkId l, int vl) -> std::int32_t {
+    if (cg_link_epoch_[l] != cg_epoch_) return -1;
+    for (std::int32_t i = cg_link_first_[l]; i != -1; i = cg_lvl_[i].next) {
+      if (cg_lvl_[i].vl == vl) return i;
     }
     return -1;
   };
@@ -640,20 +538,20 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
     for (const LinkId l : route_[slot]) {
       std::int32_t lv = find_lvl(l, vl);
       if (lv == -1) {
-        if (ctx.cg_link_epoch[l] != ctx.cg_epoch) {
-          ctx.cg_link_epoch[l] = ctx.cg_epoch;
-          ctx.cg_link_first[l] = -1;
+        if (cg_link_epoch_[l] != cg_epoch_) {
+          cg_link_epoch_[l] = cg_epoch_;
+          cg_link_first_[l] = -1;
         }
-        lv = static_cast<std::int32_t>(ctx.cg_lvl.size());
-        ctx.cg_lvl.push_back({vl, 0, 0.0, -1, ctx.cg_link_first[l], l, false});
-        ctx.cg_link_first[l] = lv;
+        lv = static_cast<std::int32_t>(cg_lvl_.size());
+        cg_lvl_.push_back({vl, 0, 0.0, -1, cg_link_first_[l], l, false});
+        cg_link_first_[l] = lv;
       }
-      ShardCtx::LinkVl& e = ctx.cg_lvl[static_cast<std::size_t>(lv)];
+      CgLinkVl& e = cg_lvl_[static_cast<std::size_t>(lv)];
       ++e.count;
       e.sum += rate_[slot];
-      ctx.cg_ent_slot.push_back(slot);
-      ctx.cg_ent_next.push_back(e.flows_head);
-      e.flows_head = static_cast<std::int32_t>(ctx.cg_ent_slot.size()) - 1;
+      cg_ent_slot_.push_back(slot);
+      cg_ent_next_.push_back(e.flows_head);
+      e.flows_head = static_cast<std::int32_t>(cg_ent_slot_.size()) - 1;
     }
   }
 
@@ -661,16 +559,16 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
   // from many *distinct sources* -- a single rank streaming a deep window
   // through its own NIC is well-behaved traffic, not congestion.
   bool any = false;
-  for (ShardCtx::LinkVl& e : ctx.cg_lvl) {
+  for (CgLinkVl& e : cg_lvl_) {
     if (e.count < congestion_.flow_threshold) continue;
     if (e.sum < 0.98 * effective_capacity(e.link, e.vl)) continue;
-    ctx.cg_origins.clear();
-    for (std::int32_t ent = e.flows_head; ent != -1; ent = ctx.cg_ent_next[ent]) {
-      ctx.cg_origins.push_back(graph_.link(route_[ctx.cg_ent_slot[ent]].front()).src);
+    cg_origins_.clear();
+    for (std::int32_t ent = e.flows_head; ent != -1; ent = cg_ent_next_[ent]) {
+      cg_origins_.push_back(graph_.link(route_[cg_ent_slot_[ent]].front()).src);
     }
-    std::sort(ctx.cg_origins.begin(), ctx.cg_origins.end());
+    std::sort(cg_origins_.begin(), cg_origins_.end());
     const auto distinct =
-        std::unique(ctx.cg_origins.begin(), ctx.cg_origins.end()) - ctx.cg_origins.begin();
+        std::unique(cg_origins_.begin(), cg_origins_.end()) - cg_origins_.begin();
     if (static_cast<int>(distinct) < congestion_.flow_threshold) continue;
     e.congested = true;
     any = true;
@@ -679,17 +577,17 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
 
   // Pass 3: hot flows (crossing a congested link) warm every switch on their
   // route (their buffers hold the backlog).
-  const auto warm_dev = [&ctx, this](DeviceId d, int vl) {
+  const auto warm_dev = [this](DeviceId d, int vl) {
     if (graph_.device(d).kind != DeviceKind::kSwitch) return;
-    if (ctx.cg_dev_epoch[d] != ctx.cg_epoch) {
-      ctx.cg_dev_epoch[d] = ctx.cg_epoch;
-      ctx.cg_dev_first[d] = -1;
+    if (cg_dev_epoch_[d] != cg_epoch_) {
+      cg_dev_epoch_[d] = cg_epoch_;
+      cg_dev_first_[d] = -1;
     }
-    for (std::int32_t i = ctx.cg_dev_first[d]; i != -1; i = ctx.cg_dvl[i].next) {
-      if (ctx.cg_dvl[i].vl == vl) return;
+    for (std::int32_t i = cg_dev_first_[d]; i != -1; i = cg_dvl_[i].next) {
+      if (cg_dvl_[i].vl == vl) return;
     }
-    ctx.cg_dvl.push_back({vl, ctx.cg_dev_first[d]});
-    ctx.cg_dev_first[d] = static_cast<std::int32_t>(ctx.cg_dvl.size()) - 1;
+    cg_dvl_.push_back({vl, cg_dev_first_[d]});
+    cg_dev_first_[d] = static_cast<std::int32_t>(cg_dvl_.size()) - 1;
   };
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t slot = slots[i];
@@ -697,7 +595,7 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
     bool hot = false;
     for (const LinkId l : route_[slot]) {
       const std::int32_t lv = find_lvl(l, vl);
-      if (lv != -1 && ctx.cg_lvl[static_cast<std::size_t>(lv)].congested) {
+      if (lv != -1 && cg_lvl_[static_cast<std::size_t>(lv)].congested) {
         hot = true;
         break;
       }
@@ -711,10 +609,10 @@ void Network::apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slo
   }
 
   // Pass 4: every flow crossing a warm switch on its VL is degraded.
-  const auto dev_warm = [&ctx](DeviceId d, int vl) {
-    if (ctx.cg_dev_epoch[d] != ctx.cg_epoch) return false;
-    for (std::int32_t i = ctx.cg_dev_first[d]; i != -1; i = ctx.cg_dvl[i].next) {
-      if (ctx.cg_dvl[i].vl == vl) return true;
+  const auto dev_warm = [this](DeviceId d, int vl) {
+    if (cg_dev_epoch_[d] != cg_epoch_) return false;
+    for (std::int32_t i = cg_dev_first_[d]; i != -1; i = cg_dvl_[i].next) {
+      if (cg_dvl_[i].vl == vl) return true;
     }
     return false;
   };

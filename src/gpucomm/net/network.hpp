@@ -19,22 +19,19 @@
 // links, plus shared switches when congestion coupling is enabled), solves
 // each component as an independent subproblem, and splices the rates back.
 // Events that cannot be localized (link state changes, noise epochs, model
-// rewiring) fall back to a full partitioned solve. Components are assigned
-// round-robin to solver shards that run concurrently; because components
-// share no state, the resulting rates are byte-identical at any shard count
-// and to the kFullResolve reference mode (docs/PERFORMANCE.md,
+// rewiring) fall back to a full partitioned solve. The resulting rates are
+// byte-identical to the kFullResolve reference mode (docs/PERFORMANCE.md,
 // tests/test_network).
 //
-// Every component takes the same path: assemble its subproblem, solve it
-// with FairshareSolver, apply the congestion pass, record the telemetry
-// trace. There is deliberately no allocation cache and no warm start: on
-// the paper's workloads neither saved time (docs/PERFORMANCE.md, "Measured
-// and removed").
+// Every component takes the same path on the calling thread: assemble its
+// subproblem, solve it with FairshareSolver, apply the congestion pass,
+// record the telemetry trace. There is deliberately no allocation cache, no
+// warm start and no sharded solving: on the paper's workloads none of them
+// saved time (docs/PERFORMANCE.md, "Measured and removed").
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "gpucomm/fault/fault_model.hpp"
@@ -46,10 +43,6 @@
 #include "gpucomm/topology/graph.hpp"
 
 namespace gpucomm {
-
-namespace net {
-class ShardPool;
-}  // namespace net
 
 using FlowId = std::uint64_t;
 
@@ -154,15 +147,8 @@ class Network {
   void set_solver_mode(SolverMode mode) { mode_ = mode; }
   SolverMode solver_mode() const { return mode_; }
 
-  /// Number of concurrent solver shards for partitioned solves (clamped to
-  /// [1, 64]). Component subproblems are assigned round-robin in discovery
-  /// order; rates are byte-identical at any shard count.
-  void set_shards(int shards);
-  int shards() const { return shards_; }
-
-  /// Live solver counters for this network (see solver_stats.hpp). The
-  /// returned reference is invalidated by the next call.
-  const net::SolverStats& solver_stats() const;
+  /// Live solver counters for this network (see solver_stats.hpp).
+  const net::SolverStats& solver_stats() const { return stats_; }
 
   /// Begin a transfer. `on_delivered` fires (via the engine) when the last
   /// byte has arrived at the destination.
@@ -195,11 +181,6 @@ class Network {
   void on_link_state_change();
 
  private:
-  /// Per-shard solver context (fairshare solver, subproblem scratch,
-  /// congestion scratch, counters). Defined in network.cpp; one per shard so
-  /// partitioned solves share nothing.
-  struct ShardCtx;
-
   /// A flow leaving the active set, with everything deliver()/interrupt()
   /// still need after its slot has been recycled.
   struct RemovedFlow {
@@ -255,18 +236,13 @@ class Network {
   void build_dev_links();
 
   // --- solving ---
-  /// Solve comp_offset_ ranges [first..comp count) across shards_ and write
-  /// rates (and telemetry trace state) back to the slots.
+  /// Solve every comp_offset_ range in discovery order and write rates (and
+  /// telemetry trace state) back to the slots.
   void solve_components();
-  /// The invariant the sharded solve relies on: no link is on the routes of
-  /// two components. Shards write capacity_ and read the noise field (whose
-  /// per-link draws settle on first read) without locks. Debug check.
-  bool components_link_disjoint() const;
-  void solve_component(ShardCtx& ctx, int shard, std::uint32_t begin, std::uint32_t end);
+  void solve_component(std::uint32_t begin, std::uint32_t end);
   /// Post-allocation congestion coupling for one component: degrade flows
   /// crossing switches with an incast-saturated port on their VL.
-  void apply_congestion_component(ShardCtx& ctx, const std::uint32_t* slots,
-                                  std::uint32_t count);
+  void apply_congestion_component(const std::uint32_t* slots, std::uint32_t count);
   /// Emit flow_rate / flow_throttled / link_saturated for the allocation just
   /// computed, reconstructed from the persisted per-slot/per-link trace state
   /// in the exact order the pre-PR-7 whole-set solver emitted them. Only called when
@@ -336,13 +312,40 @@ class Network {
 
   // --- solving state ---
   SolverMode mode_ = SolverMode::kIncremental;
-  int shards_ = 1;
-  std::vector<std::unique_ptr<ShardCtx>> shard_ctx_;
-  std::unique_ptr<net::ShardPool> pool_;
-  // LinkId-indexed capacity table shared by all shards: components are
-  // link-disjoint, so concurrent shards write disjoint entries. Only entries
-  // for links in the subproblem being assembled are (re)written and read.
+  FairshareSolver solver_;
+  FairshareTrace trace_;
+  // Subproblem assembly scratch: member routes and per-flow caps.
+  std::vector<const Route*> sub_routes_;
+  std::vector<Bandwidth> sub_caps_;
+  // LinkId-indexed capacity table. Only entries for links in the subproblem
+  // being assembled are (re)written and read.
   std::vector<Bandwidth> capacity_;
+
+  // Congestion scratch, epoch-stamped so no pass clears it. One CgLinkVl
+  // per (link, vl) with flows, chained per link; one CgDevVl per warm
+  // (switch, vl), chained per device.
+  struct CgLinkVl {
+    int vl = 0;
+    int count = 0;
+    double sum = 0;
+    std::int32_t flows_head = -1;
+    std::int32_t next = -1;
+    LinkId link = kInvalidLink;
+    bool congested = false;
+  };
+  struct CgDevVl {
+    int vl = 0;
+    std::int32_t next = -1;
+  };
+  std::vector<std::uint64_t> cg_link_epoch_, cg_dev_epoch_;
+  std::vector<std::int32_t> cg_link_first_, cg_dev_first_;
+  std::vector<CgLinkVl> cg_lvl_;
+  std::vector<CgDevVl> cg_dvl_;
+  std::vector<std::uint32_t> cg_ent_slot_;
+  std::vector<std::int32_t> cg_ent_next_;
+  std::vector<DeviceId> cg_origins_;
+  std::uint64_t cg_epoch_ = 0;
+
   // Persisted telemetry trace state (filled only when telemetry_ is set):
   // which links the last allocation saturated and by how many flows. Emission
   // walks the active set, so stale entries for unused links are never read.
@@ -362,8 +365,7 @@ class Network {
   double bits_interrupted_ = 0;
   std::uint64_t flows_interrupted_ = 0;
 
-  net::SolverStats stats_;                  // event-level counters
-  mutable net::SolverStats stats_merged_;   // solver_stats() scratch
+  net::SolverStats stats_;
   // Removal scratch reused across events.
   std::vector<RemovedFlow> removed_scratch_;
 };

@@ -11,14 +11,13 @@
 // its counts into the global registry, so a server can account for cells
 // and coupled runs long gone).
 //
-// The rate arithmetic is bit-identical in every mode and at every shard
-// count; only these counters are allowed to differ (docs/PERFORMANCE.md).
+// The rate arithmetic is bit-identical in every mode; only these counters
+// are allowed to differ (docs/PERFORMANCE.md).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <mutex>
-#include <vector>
 
 namespace gpucomm::net {
 
@@ -39,7 +38,7 @@ struct SolverStats {
   /// Events whose affected set was empty (e.g. the last flow of an isolated
   /// component completed): no solve at all, rates provably unchanged.
   std::uint64_t no_work_events = 0;
-  /// Component subproblems handed to a fairshare solver, across all shards.
+  /// Component subproblems handed to the fairshare solver.
   std::uint64_t component_solves = 0;
   /// No longer counted: they read 0. The per-component allocation cache,
   /// structural keying and warm-start seeding they counted were removed
@@ -62,9 +61,6 @@ struct SolverStats {
   /// log2 histogram of solved component sizes in flows: bucket b counts
   /// components with 2^b <= flows < 2^(b+1); the last bucket is open-ended.
   std::array<std::uint64_t, 21> component_size_log2{};
-  /// Component solves per shard (index = shard). Sized by the owning
-  /// network's shard count; sums to component_solves.
-  std::vector<std::uint64_t> shard_solves;
 
   void merge(const SolverStats& other);
 };

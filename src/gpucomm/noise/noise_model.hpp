@@ -37,8 +37,6 @@ class ProductionNoise final : public NoiseField {
   ProductionNoise(const Graph& graph, NoiseParams params, Rng rng);
 
   /// Evaluates the link's deferred draw on its first read after a resample.
-  /// Calls for distinct links may run concurrently (the sharded solve reads
-  /// each link from exactly one component); calls for one link may not.
   double background_utilization(LinkId link) const override;
   int noisy_vl() const override { return 0; }
   SimTime queueing_delay(LinkId link) override;

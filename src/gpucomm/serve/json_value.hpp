@@ -1,8 +1,9 @@
 // Strict JSON parsing into a small DOM, for the scenario server's query
 // grammar (serve/query.hpp).
 //
-// The grammar accepted is exactly the one metrics::json_valid() validates
-// (RFC 8259); on top of that this parser materializes the document. Numbers
+// The grammar is RFC 8259, applied strictly. This is the repo's one JSON
+// parser: tools/gpucomm_jsonv and the tests validate emitted artifacts with
+// it too. Numbers must be finite doubles ("1e400" is out of range); they
 // keep both the double value and an exact signed-64-bit form when the
 // literal is integral and in range, so byte counts and seeds round-trip
 // without floating-point loss. Object keys keep their input order;

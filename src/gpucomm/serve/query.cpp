@@ -127,11 +127,6 @@ std::optional<ScenarioQuery> parse_query(const JsonValue& v, std::string& error)
     } else if (key == "nodes") {
       if (!exact_int(val, 1, 1 << 20, n)) return fail("'nodes' must be a positive integer");
       q.nodes = static_cast<int>(n);
-    } else if (key == "net_shards") {
-      if (!exact_int(val, 1, 64, n)) {
-        return fail("'net_shards' must be an integer in [1, 64]");
-      }
-      q.net_shards = static_cast<int>(n);
     } else if (key == "harness") {
       if (val.is_string() && val.as_string() == "cells") {
         q.cells = true;
@@ -179,7 +174,6 @@ ScenarioQuery query_from_cli(const cli::CliArgs& a) {
   q.faults = a.faults;
   q.noise = a.noise;
   q.nodes = a.nodes;
-  q.net_shards = a.net_shards;
   q.cells = a.jobs_given;
   q.metrics_out = a.metrics_out;
   return q;

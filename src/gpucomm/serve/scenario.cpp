@@ -229,7 +229,6 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
   copt.nodes = nodes;
   copt.placement = q.placement;
   copt.enable_noise = q.noise;
-  copt.net_shards = q.net_shards;
   copt.seed = q.seed;
   CommOptions opt;
   opt.env = q.tuned ? cfg.tuned_env() : cfg.default_env;

@@ -84,8 +84,11 @@ TEST(CliArgs, HelpShortCircuits) {
 
 TEST(CliArgs, UnknownFlagFailsWithItsName) {
   std::string err;
-  EXPECT_FALSE(parse({"--bogus"}, err).has_value());
-  EXPECT_NE(err.find("--bogus"), std::string::npos);
+  for (const char* flag : {"--bogus", "--net-shards"}) {
+    EXPECT_FALSE(parse({flag, "4"}, err).has_value()) << flag;
+    EXPECT_NE(err.find(flag), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+  }
 }
 
 TEST(CliArgs, MissingValueFails) {

@@ -160,12 +160,12 @@ TEST(NetworkTest, OtherServiceLevelIsolatedFromNoise) {
 //
 // The incremental/partitioned solver's contract is that its rates are
 // BIT-identical to the full-resolve reference (every component re-solved
-// from scratch on every event, the pre-PR-7 cost model) — at any shard
-// count, under flow churn, fault flaps, congestion coupling, and noise
-// epochs. These tests replay one deterministic pseudo-random event stream
-// through both modes and compare every completion timestamp (picoseconds,
-// exact), every interruption record, and mid-run rate samples as raw double
-// bit patterns. Any divergence, however small, is a contract violation.
+// from scratch on every event) under flow churn, fault flaps, congestion
+// coupling, and noise epochs. These tests replay one deterministic
+// pseudo-random event stream through both modes and compare every
+// completion timestamp (picoseconds, exact), every interruption record, and
+// mid-run rate samples as raw double bit patterns. Any divergence, however
+// small, is a contract violation.
 
 /// Versioned noise whose per-link utilization is a pure hash of
 /// (link, epoch): deterministic across runs, different every resample.
@@ -204,7 +204,6 @@ struct DiffReplay {
 
   struct Options {
     SolverMode mode = SolverMode::kIncremental;
-    int shards = 1;
     bool faults = false;
     bool congestion = false;
     bool noise = false;
@@ -254,7 +253,6 @@ struct DiffReplay {
     Engine engine;
     Network net(engine, g);
     net.set_solver_mode(o.mode);
-    net.set_shards(o.shards);
     if (o.congestion) net.set_congestion({/*flow_threshold=*/2, /*rate_factor=*/0.5});
     ChurnNoise noise;
     if (o.noise) net.set_noise(&noise);
@@ -350,45 +348,34 @@ struct DiffReplay {
 };
 
 /// One replay under the full-resolve reference, compared bit-for-bit against
-/// the incremental solver at several shard counts.
-void expect_differential_identity(DiffReplay::Options o,
-                                  std::initializer_list<int> shard_counts) {
+/// the incremental solver.
+void expect_differential_identity(DiffReplay::Options o) {
   o.mode = SolverMode::kFullResolve;
-  o.shards = 1;
   const DiffReplay::Result ref = DiffReplay::run(o);
   EXPECT_FALSE(ref.delivered.empty());
   o.mode = SolverMode::kIncremental;
-  for (const int shards : shard_counts) {
-    o.shards = shards;
-    const DiffReplay::Result got = DiffReplay::run(o);
-    EXPECT_EQ(ref.delivered, got.delivered) << "shards=" << shards;
-    EXPECT_EQ(ref.interrupted, got.interrupted) << "shards=" << shards;
-    EXPECT_EQ(ref.rate_bits, got.rate_bits) << "shards=" << shards;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ref.bits_delivered),
-              std::bit_cast<std::uint64_t>(got.bits_delivered))
-        << "shards=" << shards;
-  }
+  const DiffReplay::Result got = DiffReplay::run(o);
+  EXPECT_EQ(ref.delivered, got.delivered);
+  EXPECT_EQ(ref.interrupted, got.interrupted);
+  EXPECT_EQ(ref.rate_bits, got.rate_bits);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ref.bits_delivered),
+            std::bit_cast<std::uint64_t>(got.bits_delivered));
 }
 
 TEST(NetworkDifferential, IncrementalMatchesFullResolveUnderChurn) {
-  for (const std::uint64_t seed : {1ull, 7ull, 1234ull}) {
+  for (const std::uint64_t seed : {1ull, 7ull, 42ull, 1234ull}) {
     DiffReplay::Options o;
     o.seed = seed;
-    expect_differential_identity(o, {1});
+    SCOPED_TRACE(seed);
+    expect_differential_identity(o);
   }
-}
-
-TEST(NetworkDifferential, ShardCountInvariance) {
-  DiffReplay::Options o;
-  o.seed = 42;
-  expect_differential_identity(o, {1, 2, 3, 4, 8});
 }
 
 TEST(NetworkDifferential, FaultFlapsPreserveBitIdentity) {
   DiffReplay::Options o;
   o.faults = true;
   o.seed = 99;
-  expect_differential_identity(o, {1, 4});
+  expect_differential_identity(o);
 }
 
 TEST(NetworkDifferential, CongestionClosureBitIdentity) {
@@ -397,14 +384,14 @@ TEST(NetworkDifferential, CongestionClosureBitIdentity) {
   DiffReplay::Options o;
   o.congestion = true;
   o.seed = 5;
-  expect_differential_identity(o, {1, 3});
+  expect_differential_identity(o);
 }
 
 TEST(NetworkDifferential, NoiseEpochsBitIdentity) {
   DiffReplay::Options o;
   o.noise = true;
   o.seed = 11;
-  expect_differential_identity(o, {1, 2});
+  expect_differential_identity(o);
 }
 
 TEST(NetworkDifferential, CombinedChurnFaultsCongestionNoise) {
@@ -413,7 +400,7 @@ TEST(NetworkDifferential, CombinedChurnFaultsCongestionNoise) {
   o.congestion = true;
   o.noise = true;
   o.seed = 2026;
-  expect_differential_identity(o, {1, 4});
+  expect_differential_identity(o);
 }
 
 TEST(NetworkTest, ManySequentialFlowsDeterministic) {

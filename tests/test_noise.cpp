@@ -8,8 +8,6 @@
 
 #include "gpucomm/cluster/cluster.hpp"
 #include "gpucomm/noise/noise_model.hpp"
-#include "gpucomm/serve/query.hpp"
-#include "gpucomm/serve/scenario.hpp"
 #include "gpucomm/systems/registry.hpp"
 
 namespace gpucomm {
@@ -273,31 +271,6 @@ TEST(NoiseDeferred, BitEqualToEagerFieldUnderAnyReadPattern) {
     }
   }
   EXPECT_EQ(deferred.mean_utilization(), eager_mean / static_cast<double>(noisy));
-}
-
-TEST(NoiseDeferred, NoisyCoupledRunIsByteIdenticalAcrossShardCounts) {
-  // The sharded solve reads link capacities (and so settles deferred draws)
-  // on worker threads: a noisy coupled Leonardo run must not depend on the
-  // shard count. Scatter placement and CCL alltoall give many components.
-  const auto run = [](int shards) {
-    serve::ScenarioQuery q;
-    q.system = "leonardo";
-    q.op = "alltoall";
-    q.mechanism = "ccl";
-    q.gpus = 16;
-    q.placement = Placement::kScatterGroups;
-    q.min_bytes = 64 * 1024;
-    q.max_bytes = 1024 * 1024;
-    q.iters = 5;
-    q.net_shards = shards;
-    std::string err;
-    const auto out = serve::run_scenario(q, nullptr, /*want_manifest=*/true, err);
-    EXPECT_NE(out, nullptr) << err;
-    return out == nullptr ? std::string() : out->manifest_pretty;
-  };
-  const std::string one = run(1);
-  EXPECT_FALSE(one.empty());
-  EXPECT_EQ(run(4), one);
 }
 
 }  // namespace

@@ -12,13 +12,13 @@
 #include "gpucomm/cluster/placement.hpp"
 #include "gpucomm/cluster/topo_snapshot.hpp"
 #include "gpucomm/comm/mpi/mpi_comm.hpp"
-#include "gpucomm/metrics/json.hpp"
 #include "gpucomm/serve/cache.hpp"
 #include "gpucomm/serve/json_value.hpp"
 #include "gpucomm/serve/obs.hpp"
 #include "gpucomm/serve/query.hpp"
 #include "gpucomm/serve/scenario.hpp"
 #include "gpucomm/serve/server.hpp"
+#include "gpucomm/sim/random.hpp"
 #include "gpucomm/systems/registry.hpp"
 
 namespace gpucomm::serve {
@@ -31,6 +31,12 @@ JsonValue parse_ok(const std::string& text) {
   const auto v = parse_json(text, err);
   EXPECT_TRUE(v.has_value()) << err;
   return v.value_or(JsonValue::make_null());
+}
+
+/// True when `text` is one strict JSON document.
+bool is_json(std::string_view text) {
+  std::string err;
+  return parse_json(text, err).has_value();
 }
 
 TEST(JsonValueParser, ParsesScalarsAndStructure) {
@@ -47,6 +53,7 @@ TEST(JsonValueParser, ParsesScalarsAndStructure) {
   EXPECT_TRUE(v.find("d")->items()[0].as_bool());
   EXPECT_TRUE(v.find("d")->items()[1].is_null());
   EXPECT_EQ(v.find("missing"), nullptr);
+  EXPECT_TRUE(is_json(R"({"a": [1, 2.5e3, "x"], "b": null})"));
 }
 
 TEST(JsonValueParser, ExactInt64RoundTrip) {
@@ -57,8 +64,10 @@ TEST(JsonValueParser, ExactInt64RoundTrip) {
 }
 
 TEST(JsonValueParser, RejectsMalformedInputWithByteOffset) {
-  for (const char* bad : {"{", "[1,]", "{\"a\":}", "nul", "\"unterminated", "1 2",
-                          "{\"a\":1 \"b\":2}", "{'a':1}", "+1", "01", "\"\t\""}) {
+  for (const char* bad :
+       {"{", "[1,]", "{\"a\":}", "nul", "\"unterminated", "1 2", "{\"a\":1 \"b\":2}",
+        "{'a':1}", "+1", "01", "\"\t\"", "", "{\"a\": 1,}", "[1, 2] trailing",
+        "{\"a\": 01}", "[NaN]", "[1,", "[1e400]"}) {
     std::string err;
     EXPECT_FALSE(parse_json(bad, err).has_value()) << bad;
     EXPECT_NE(err.find("at byte"), std::string::npos) << err;
@@ -144,6 +153,7 @@ TEST(QueryParse, StrictRejections) {
       R"({"deadline_ms": "soon"})",             // wrong deadline type
       R"([1, 2])",                              // not an object
       R"({"harness": "cells", "faults": "at 1us down link 4"})",  // cells+faults
+      R"({"net_shards": 4})",                   // removed knob: unknown field
   };
   for (const char* text : bad) {
     std::string err;
@@ -151,6 +161,52 @@ TEST(QueryParse, StrictRejections) {
     EXPECT_FALSE(err.empty()) << text;
     EXPECT_EQ(err.find('\n'), std::string::npos) << err;
   }
+}
+
+TEST(QueryParse, MutatedQueriesFailCleanly) {
+  // Seeded mutation fuzz of the served query path: byte flips, deletions,
+  // insertions and truncations of query lines (the last one is JSON but
+  // not a valid query). Every mutant is either a query or a rejection with
+  // a one-line message; JSON-level rejections name the byte offset.
+  const std::string lines[] = {
+      R"({"id": 7, "system": "alps", "op": "allreduce", "mechanism": "ccl", "gpus": 16})",
+      R"({"min": 1024, "max": 1048576, "space": "host", "tuned": false, "sl": 3})",
+      R"({"op": "alltoall", "placement": "groups", "iters": 5, "seed": 9, "nodes": 8})",
+      R"({"noise": false, "harness": "cells", "metrics_out": "m.json", "deadline_ms": 250})",
+      R"({"faults": "at 1us down link 4; at 2us up link 4", "gpus": [2], "id": null})",
+  };
+  Rng rng(0x5eed);
+  int json_errors = 0, query_errors = 0, accepted = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string text = lines[rng.uniform_int(std::size(lines))];
+    const int edits = 1 + static_cast<int>(rng.uniform_int(3));
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t at = rng.uniform_int(text.size());
+      switch (rng.uniform_int(4)) {
+        case 0: text[at] = static_cast<char>(text[at] ^ (1 << rng.uniform_int(8))); break;
+        case 1: text.erase(at, 1); break;
+        case 2: text.insert(at, 1, static_cast<char>(rng.uniform_int(256))); break;
+        default: text.resize(at); break;
+      }
+    }
+    std::string err;
+    const auto doc = parse_json(text, err);
+    if (!doc.has_value()) {
+      ++json_errors;
+      EXPECT_NE(err.find("at byte"), std::string::npos) << text << ": " << err;
+    } else if (!parse_query(*doc, err).has_value()) {
+      ++query_errors;
+      EXPECT_FALSE(err.empty()) << text;
+    } else {
+      ++accepted;
+      continue;
+    }
+    EXPECT_EQ(err.find('\n'), std::string::npos) << text << ": " << err;
+  }
+  // Every outcome occurs, so both parsers were exercised.
+  EXPECT_GT(json_errors, 0);
+  EXPECT_GT(query_errors, 0);
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(QueryKeys, StructuralDifferenceIsAMiss) {
@@ -406,7 +462,7 @@ TEST(ServeLoop, AnswersEveryLineInOrderWithValidJson) {
   const auto lines = lines_of(serve(in.str()));
   ASSERT_EQ(lines.size(), 4u);
   for (const std::string& l : lines) {
-    EXPECT_TRUE(metrics::json_valid(l)) << l;
+    EXPECT_TRUE(is_json(l)) << l;
   }
   EXPECT_NE(lines[0].find("\"id\":1"), std::string::npos);
   EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos);
@@ -450,7 +506,7 @@ TEST(ServeLoop, StatsControlReportsCacheCountersAfterBarrier) {
   // warm/cold byte-identity); the stats control line carries them.
   EXPECT_EQ(lines[0].find("hits"), std::string::npos);
   EXPECT_EQ(lines[0], lines[1]);  // identical query -> identical response bytes
-  EXPECT_TRUE(metrics::json_valid(lines[2])) << lines[2];
+  EXPECT_TRUE(is_json(lines[2])) << lines[2];
   EXPECT_NE(lines[2].find("\"control\": \"stats\""), std::string::npos) << lines[2];
   EXPECT_NE(lines[2].find("responses"), std::string::npos);
   EXPECT_EQ(caches.responses.stats().hits, 1u);  // second query hit
@@ -503,7 +559,7 @@ TEST(ObsEventRecord, BuildsOneValidJsonLine) {
                               .field("note", std::string("a\"b"))
                               .field_bool("ok", true)
                               .str();
-  EXPECT_TRUE(metrics::json_valid(rec)) << rec;
+  EXPECT_TRUE(is_json(rec)) << rec;
   EXPECT_EQ(rec.substr(0, 26), R"({"ts_us":42,"type":"admit")");
   EXPECT_NE(rec.find("\"id\":-3"), std::string::npos);
   EXPECT_NE(rec.find("\"note\":\"a\\\"b\""), std::string::npos);
@@ -558,7 +614,7 @@ TEST(ServeObs, LatencyCountsEqualAnsweredAndSurfaceInStats) {
   EXPECT_EQ(r.latency.stage[static_cast<int>(Stage::kParse)].count, 3u);
   const auto lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 3u);
-  EXPECT_TRUE(metrics::json_valid(lines[2])) << lines[2];
+  EXPECT_TRUE(is_json(lines[2])) << lines[2];
   EXPECT_NE(lines[2].find("\"latency\""), std::string::npos) << lines[2];
   EXPECT_NE(lines[2].find("\"e2e_us\""), std::string::npos) << lines[2];
   EXPECT_NE(lines[2].find("\"queue_wait_us\""), std::string::npos) << lines[2];
@@ -569,7 +625,7 @@ TEST(ServeObs, MetricsControlEmitsPrometheusText) {
   const auto off = lines_of(serve(std::string(kQ1) + "\n" +
                                   R"({"id": 2, "control": "metrics"})" + "\n"));
   ASSERT_EQ(off.size(), 2u);
-  EXPECT_TRUE(metrics::json_valid(off[1])) << off[1];
+  EXPECT_TRUE(is_json(off[1])) << off[1];
   EXPECT_NE(off[1].find("\"control\":\"metrics\""), std::string::npos);
   EXPECT_NE(off[1].find("gpucomm_serve_answered_total 1"), std::string::npos) << off[1];
   EXPECT_EQ(off[1].find("latency_us"), std::string::npos);
@@ -585,7 +641,7 @@ TEST(ServeObs, MetricsControlEmitsPrometheusText) {
   serve_loop(in, out, o);
   const auto on = lines_of(out.str());
   ASSERT_EQ(on.size(), 2u);
-  EXPECT_TRUE(metrics::json_valid(on[1])) << on[1];
+  EXPECT_TRUE(is_json(on[1])) << on[1];
   EXPECT_NE(on[1].find("gpucomm_serve_latency_us"), std::string::npos) << on[1];
   EXPECT_NE(on[1].find("quantile="), std::string::npos) << on[1];
 }
@@ -606,7 +662,7 @@ TEST(ServeObs, EventLogRecordsQueryLifecycleAndFinalTally) {
   const auto records = lines_of(slurp(log));
   ASSERT_FALSE(records.empty());
   for (const std::string& r : records) {
-    EXPECT_TRUE(metrics::json_valid(r)) << r;
+    EXPECT_TRUE(is_json(r)) << r;
   }
   auto count_type = [&](const std::string& type) {
     std::size_t n = 0;
@@ -673,7 +729,7 @@ TEST(ServeObs, TraceAndMetricsFilesWrittenAtDrain) {
     serve_loop(in, out, o);
   }
   const std::string trace_text = slurp(trace);
-  EXPECT_TRUE(metrics::json_valid(trace_text)) << trace_text.substr(0, 200);
+  EXPECT_TRUE(is_json(trace_text)) << trace_text.substr(0, 200);
   EXPECT_NE(trace_text.find("\"scenario-server\""), std::string::npos);
   for (const char* span : {"queue_wait", "run", "render", "flush", "e2e"}) {
     EXPECT_NE(trace_text.find("\"name\":\"" + std::string(span) + "\""),
@@ -713,7 +769,7 @@ TEST(ServeObs, EventLogRotatesPastSizeBound) {
   ASSERT_FALSE(previous.empty());
   EXPECT_LE(previous.size(), 512u + 128u);
   for (const std::string& r : lines_of(current + previous)) {
-    EXPECT_TRUE(metrics::json_valid(r)) << r;
+    EXPECT_TRUE(is_json(r)) << r;
   }
   EXPECT_NE(current.find("serve_drained"), std::string::npos);
   std::remove(log.c_str());

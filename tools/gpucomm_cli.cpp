@@ -82,8 +82,6 @@ constexpr const char* kUsage =
     "  [--placement packed|switches|groups]  rank placement across the fabric\n"
     "  [--nodes N]                     node-count override (default: from --gpus)\n"
     "  [--no-noise]                    drained system: no production noise field\n"
-    "  [--net-shards N]                flow-network solver shards (bit-identical\n"
-    "                                  rates at any N; threads for wall-clock)\n"
     "  [--iters N] [--seed N]          iteration override / cluster RNG seed\n"
     "  [--jobs N]                      deterministic cell harness: every\n"
     "                                  (size, rep) is an independent simulation\n"
@@ -150,8 +148,8 @@ void dump_schedules(Communicator& comm, const cli::CliArgs& a) {
 
 /// Solver section of --counters: how the flow network's reallocation events
 /// were answered (incremental vs full vs no-work), why full solves happened,
-/// the size distribution of the component subproblems, and how the work
-/// spread across shards. None of it changes the simulated timings.
+/// and the size distribution of the component subproblems. None of it
+/// changes the simulated timings.
 void print_solver_stats(const net::SolverStats& s) {
   std::printf("\n-- flow-network solver --\n");
   std::printf("reallocations   %10llu\n", (unsigned long long)s.reallocations);
@@ -173,13 +171,6 @@ void print_solver_stats(const net::SolverStats& s) {
     std::printf(" [2^%zu]=%llu", b, (unsigned long long)s.component_size_log2[b]);
   }
   std::printf("\n");
-  if (s.shard_solves.size() > 1) {
-    std::printf("shard solves:");
-    for (std::size_t i = 0; i < s.shard_solves.size(); ++i) {
-      std::printf(" [%zu]=%llu", i, (unsigned long long)s.shard_solves[i]);
-    }
-    std::printf("\n");
-  }
 }
 
 int run_serve(const cli::CliArgs& a, const char* argv0) {
@@ -289,7 +280,6 @@ int main(int argc, char** argv) {
   copt.nodes = nodes;
   copt.placement = a.placement;
   copt.enable_noise = a.noise;
-  copt.net_shards = a.net_shards;
   copt.seed = a.seed;
   Cluster cluster(cfg, copt);
   CommOptions opt;
