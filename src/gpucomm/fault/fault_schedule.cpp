@@ -1,6 +1,7 @@
 #include "gpucomm/fault/fault_schedule.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -32,28 +33,33 @@ std::vector<std::string> tokenize(const std::string& line) {
 bool parse_time(const std::string& tok, SimTime& out) {
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || v < 0) return false;
+  if (end == tok.c_str() || !(v >= 0)) return false;  // also rejects NaN
   const std::string unit(end);
+  double ps_per_unit = 0;
   if (unit == "ps") {
-    out = SimTime{static_cast<std::int64_t>(v)};
+    ps_per_unit = 1;
   } else if (unit == "ns") {
-    out = nanoseconds(v);
+    ps_per_unit = 1e3;
   } else if (unit == "us") {
-    out = microseconds(v);
+    ps_per_unit = 1e6;
   } else if (unit == "ms") {
-    out = milliseconds(v);
+    ps_per_unit = 1e9;
   } else if (unit == "s") {
-    out = seconds(v);
+    ps_per_unit = 1e12;
   } else {
     return false;
   }
+  // Infinite or past the picosecond clock's range (~106 days).
+  const double ps = v * ps_per_unit;
+  if (!(ps < 9.2e18)) return false;
+  out = SimTime{static_cast<std::int64_t>(ps)};
   return true;
 }
 
 bool parse_number(const std::string& tok, double& out) {
   char* end = nullptr;
   out = std::strtod(tok.c_str(), &end);
-  return end != tok.c_str() && *end == '\0';
+  return end != tok.c_str() && *end == '\0' && std::isfinite(out);
 }
 
 bool parse_id(const std::string& tok, std::uint32_t& out) {

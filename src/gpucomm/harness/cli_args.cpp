@@ -68,12 +68,16 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
   // exclusivity diagnostic: in serve mode every scenario parameter arrives
   // per query, so a scenario flag on the command line is a usage error.
   std::string scenario_flag;
+  // First --serve-* flag seen: those configure the server and mean nothing
+  // without --serve, whatever their value.
+  std::string serve_flag;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag.rfind("--serve", 0) != 0 && flag != "--help" && flag != "-h" &&
         scenario_flag.empty()) {
       scenario_flag = flag;
     }
+    if (flag.rfind("--serve-", 0) == 0 && serve_flag.empty()) serve_flag = flag;
     const auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
@@ -210,13 +214,6 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
         return fail(flag + " requires a byte bound in [64, 1073741824]");
       }
       a.serve_max_line_bytes = static_cast<std::size_t>(n);
-    } else if (flag == "--serve-cache-file") {
-      if (!need(a.serve_cache_file)) return fail(flag + " requires a snapshot path");
-    } else if (flag == "--serve-snapshot-every") {
-      if (!need(v) || !parse_int(v, 0, 1'000'000'000, n)) {
-        return fail(flag + " requires a query cadence in [0, 1000000000]");
-      }
-      a.serve_snapshot_every = static_cast<int>(n);
     } else if (flag == "--serve-log") {
       if (!need(a.serve_log)) return fail(flag + " requires an output path");
     } else if (flag == "--serve-log-max-mb") {
@@ -247,16 +244,7 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
     return fail("--serve cannot be combined with '" + scenario_flag +
                 "' (scenario parameters arrive per query)");
   }
-  if (!a.serve &&
-      (a.serve_jobs != 1 || a.serve_cache_mb != 256 || !a.serve_socket.empty() ||
-       a.serve_deadline_ms != 0 || a.serve_max_queue != 1024 ||
-       a.serve_max_line_bytes != (1u << 20) || !a.serve_cache_file.empty() ||
-       a.serve_snapshot_every != 256 || !a.serve_log.empty() ||
-       a.serve_log_max_mb != 64 || !a.serve_trace.empty() ||
-       !a.serve_metrics_file.empty() || a.serve_metrics_every != 0 ||
-       a.serve_slow_ms != 0)) {
-    return fail("--serve-* flags require --serve");
-  }
+  if (!a.serve && !serve_flag.empty()) return fail("'" + serve_flag + "' requires --serve");
   // Cell mode runs every (size, rep) on its own cluster; flags that hold
   // whole-run state on one cluster (telemetry sinks) or replay events at
   // absolute engine times (fault schedules) have no per-cell meaning.

@@ -83,7 +83,7 @@ struct CliArgs {
   /// Worker threads answering scenario queries in --serve mode.
   int serve_jobs = 1;
   /// Total cross-query cache budget in MiB, split across the server's
-  /// topology/plan/result/response caches.
+  /// topology/cell-result/response caches.
   int serve_cache_mb = 256;
   /// Unix-domain socket path to listen on instead of stdin/stdout.
   std::string serve_socket;
@@ -96,10 +96,6 @@ struct CliArgs {
   int serve_max_queue = 1024;
   /// Longest accepted request line in bytes (default 1 MiB).
   std::size_t serve_max_line_bytes = 1u << 20;
-  /// Cache snapshot file (serve/persist.hpp); empty = no persistence.
-  std::string serve_cache_file;
-  /// Answered-query cadence between snapshots (0 = only at shutdown).
-  int serve_snapshot_every = 256;
   /// --serve-log: structured JSON-lines event log (serve/obs.hpp); empty =
   /// off.
   std::string serve_log;

@@ -1,13 +1,12 @@
 // Bounded-memory exact-compare caches for the scenario server.
 //
 // Keys are canonical strings (serve/query.hpp renders every semantic query
-// field into one unambiguous text form), compared exactly — the same policy
-// as the network's allocation cache: a structural difference of one byte is
-// a miss, so a stale hit is impossible. Values are immutable
-// (shared_ptr<const V>) and always bit-identical to what recomputation
-// would produce, which is what lets the server promise byte-identical
-// answers at any cache state: a hit only changes *when* the answer is
-// ready, never what it says.
+// field into one unambiguous text form), compared exactly: a structural
+// difference of one byte is a miss, so a stale hit is impossible. Values
+// are immutable (shared_ptr<const V>) and always bit-identical to what
+// recomputation would produce, which is what lets the server promise
+// byte-identical answers at any cache state: a hit only changes *when* the
+// answer is ready, never what it says.
 //
 // Memory is bounded per cache: every insert carries a cost estimate in
 // bytes and eviction is FIFO in first-insertion order until the budget
@@ -27,7 +26,6 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace gpucomm::serve {
 
@@ -89,24 +87,6 @@ class ExactCache {
     bytes_ += cost_bytes;
     ++insertions_;
     evict_locked();
-  }
-
-  /// Snapshot of every entry in first-insertion order, for persistence
-  /// (serve/persist.hpp). Values are shared, not copied.
-  struct Exported {
-    std::string key;
-    std::shared_ptr<const V> value;
-    std::size_t cost_bytes = 0;
-  };
-  std::vector<Exported> export_entries() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    std::vector<Exported> out;
-    out.reserve(map_.size());
-    for (const std::string& key : order_) {
-      const auto it = map_.find(key);
-      out.push_back(Exported{key, it->second.value, it->second.cost});
-    }
-    return out;
   }
 
   CacheStats stats() const {

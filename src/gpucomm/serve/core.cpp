@@ -9,7 +9,6 @@
 #include "gpucomm/metrics/json.hpp"
 #include "gpucomm/net/solver_stats.hpp"
 #include "gpucomm/serve/json_value.hpp"
-#include "gpucomm/serve/persist.hpp"
 
 namespace gpucomm::serve {
 
@@ -213,10 +212,6 @@ std::string ServerCore::stats_line(std::int64_t id) const {
   w.kv("connections_accepted", c.connections_accepted);
   w.kv("connections_closed", c.connections_closed);
   w.kv("connections_dropped", c.connections_dropped);
-  w.kv("snapshots_saved", c.snapshots_saved);
-  w.kv("snapshot_loaded", c.snapshot_loaded);
-  w.kv("snapshot_entries", c.snapshot_entries);
-  if (!c.snapshot_error.empty()) w.kv("snapshot_error", c.snapshot_error);
   w.end_object();
   // Merged latency histograms, present only when observability is on (the
   // stats document is load-dependent either way, so this breaks nothing).
@@ -274,8 +269,6 @@ std::string ServerCore::prometheus_text() const {
      << "\n"
      << "gpucomm_serve_connections_total{event=\"dropped\"} " << c.connections_dropped
      << "\n";
-  os << "# TYPE gpucomm_serve_snapshots_saved_total counter\n"
-     << "gpucomm_serve_snapshots_saved_total " << c.snapshots_saved << "\n";
   for (const CacheStats& cs : caches_->stats()) {
     os << "gpucomm_serve_cache_hits_total{cache=\"" << cs.name << "\"} " << cs.hits
        << "\n"
@@ -338,26 +331,12 @@ ServerCore::ServerCore(const ServeOptions& options, bool always_pool)
     owned_caches_ = std::make_unique<ServerCaches>(options_.cache_bytes);
     caches_ = owned_caches_.get();
   }
-  if (!options_.cache_file.empty()) {
-    const SnapshotInfo info = load_cache_snapshot(options_.cache_file, *caches_);
-    const std::lock_guard<std::mutex> lock(counters_mu_);
-    counters_.snapshot_loaded = info.ok;
-    counters_.snapshot_entries = info.responses + info.cells;
-    if (!info.ok && info.error != "missing") counters_.snapshot_error = info.error;
-  }
   const int pool_size = always_pool ? std::max(1, options_.jobs)
                                     : (options_.jobs > 1 ? options_.jobs : 0);
   if (options_.obs.enabled()) {
     // Lane layout: workers 0..pool_size-1, transport thread (also the
     // inline-execution path) on the last lane.
     obs_ = std::make_unique<Obs>(options_.obs, pool_size + 1);
-    if (obs_->want_events() && !options_.cache_file.empty()) {
-      const ServerCounters c = counters();
-      obs_->event(EventRecord(obs_->ts_us(), "snapshot_load")
-                      .field_bool("ok", c.snapshot_loaded)
-                      .field("entries", c.snapshot_entries)
-                      .str());
-    }
   }
   for (int i = 0; i < pool_size; ++i) {
     threads_.emplace_back([this, i] { worker(i); });
@@ -375,7 +354,6 @@ void ServerCore::drain() {
   queue_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
-  if (!options_.cache_file.empty()) save_snapshot_now();
   if (obs_ != nullptr) {
     // Structured final tally (the machine-readable sibling of the stderr
     // "serve drained" line), then flush the ring, write the trace, and
@@ -692,7 +670,6 @@ void ServerCore::run_job(const Job& job, int lane) {
       }
     }
   }
-  maybe_snapshot();
   maybe_metrics_file();
 }
 
@@ -728,37 +705,6 @@ void ServerCore::note_job_ms(double ms) {
     have_job_sample_ = true;
   } else {
     ewma_job_ms_ = 0.8 * ewma_job_ms_ + 0.2 * ms;
-  }
-}
-
-void ServerCore::maybe_snapshot() {
-  if (options_.cache_file.empty() || options_.snapshot_every <= 0) return;
-  std::uint64_t answered;
-  {
-    const std::lock_guard<std::mutex> lock(counters_mu_);
-    answered = counters_.answered;
-  }
-  if (answered % static_cast<std::uint64_t>(options_.snapshot_every) != 0) return;
-  save_snapshot_now();
-}
-
-void ServerCore::save_snapshot_now() {
-  const std::lock_guard<std::mutex> lock(snapshot_mu_);
-  const SnapshotInfo info = save_cache_snapshot(options_.cache_file, *caches_);
-  {
-    const std::lock_guard<std::mutex> clock(counters_mu_);
-    if (info.ok) {
-      ++counters_.snapshots_saved;
-    } else {
-      counters_.snapshot_error = info.error;
-    }
-  }
-  if (obs_ != nullptr && obs_->want_events()) {
-    obs_->event(EventRecord(obs_->ts_us(), "snapshot_save")
-                    .field_bool("ok", info.ok)
-                    .field("responses", info.responses)
-                    .field("cells", info.cells)
-                    .str());
   }
 }
 

@@ -3,10 +3,10 @@
 // Both transports — the stdio loop (serve/server.cpp) and the concurrent
 // unix-socket server (serve/socket.cpp) — are thin byte shovels around this
 // core: it owns the worker pool, the admission queue, the cross-query
-// caches, the server counters, and cache persistence, and it renders every
-// response line. Keeping one engine is what keeps the protocol identical
-// across transports: a request line answered over stdin/stdout is
-// byte-identical to the same line answered over a socket.
+// caches and the server counters, and it renders every response line.
+// Keeping one engine is what keeps the protocol identical across
+// transports: a request line answered over stdin/stdout is byte-identical
+// to the same line answered over a socket.
 //
 // Request ordering is per OrderedWriter (one per stream/connection): workers
 // finish in any order, lines leave in request order. Control barriers come
@@ -85,7 +85,7 @@ class OrderedWriter {
   std::map<std::uint64_t, Pending> pending_;
 };
 
-/// The engine: caches + worker pool + admission control + persistence.
+/// The engine: caches + worker pool + admission control.
 class ServerCore {
  public:
   /// `always_pool` forces a worker pool even for jobs <= 1 (the socket
@@ -123,8 +123,8 @@ class ServerCore {
   /// the socket transport polls this to stop accepting and start draining.
   bool shutdown_rendered() const { return drain_flag_.load(); }
 
-  /// Close the admission queue, run every already-admitted job, join the
-  /// workers, and write a final cache snapshot. Idempotent.
+  /// Close the admission queue, run every already-admitted job and join the
+  /// workers. Idempotent.
   void drain();
 
   /// Counter snapshot (post-drain() it is the final tally).
@@ -160,8 +160,6 @@ class ServerCore {
   /// per worker, clamped to [1ms, 60s].
   std::int64_t retry_hint_ms(std::size_t depth) const;
   void note_job_ms(double ms);
-  void maybe_snapshot();
-  void save_snapshot_now();
   void maybe_metrics_file();
   std::string stats_line(std::int64_t id) const;
   std::string metrics_line(std::int64_t id) const;
@@ -178,8 +176,6 @@ class ServerCore {
 
   std::atomic<bool> drain_flag_{false};
   std::atomic<bool> drained_{false};
-
-  std::mutex snapshot_mu_;  // one snapshot writer at a time
 
   // Worker pool (empty when answering inline).
   std::mutex queue_mu_;

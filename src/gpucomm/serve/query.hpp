@@ -12,8 +12,8 @@
 // canonical_key() renders every semantic field (everything except the echo
 // id and the server-side metrics_out path) into one unambiguous string —
 // the exact-compare cache key for the response cache. core_key() is the
-// subset shared by the topology/plan/cell caches, so structurally identical
-// sub-work is reused across queries that differ only in their sweep bounds.
+// prefix of the cells-cache key, so a per-size cell result is reused across
+// cells-mode queries that differ only in their sweep bounds.
 #pragma once
 
 #include <cstdint>
@@ -67,9 +67,8 @@ struct ScenarioQuery {
   /// Exact-compare key for the full response: every semantic field above
   /// except id and metrics_out.
   std::string canonical_key() const;
-  /// Key prefix shared by the topology/plan/cell caches: everything that
-  /// shapes the simulated machine and operation, but not the sweep bounds
-  /// or iteration override.
+  /// Key prefix of the cells cache: everything that shapes the simulated
+  /// machine and operation, but not the sweep bounds or iteration override.
   std::string core_key() const;
 };
 

@@ -91,20 +91,12 @@ int resolved_nodes(const SystemConfig& cfg, int gpus, int nodes_override) {
   return nodes;
 }
 
-std::size_t PlanSet::cost_bytes() const {
-  std::size_t bytes = sizeof(PlanSet);
-  for (const auto& p : plans) {
-    bytes += sizeof(p) + p.schedules.size() * sizeof(metrics::RunManifest::ScheduleId);
-    for (const auto& s : p.schedules) bytes += s.algorithm.size();
-  }
-  return bytes;
-}
+namespace {
 
+/// Cache-cost estimate for a per-size Samples value (cells cache entries).
 std::size_t samples_cost(const Samples& s) {
   return sizeof(Samples) + (s.us.size() + s.aborted_us.size()) * sizeof(double);
 }
-
-namespace {
 
 /// Record one cache probe on the (optional) observability trail.
 void note_lookup(ScenarioObs* obs, const char* cache, bool hit) {
@@ -148,39 +140,26 @@ Sweep make_sweep(const ScenarioQuery& q, bool alltoall_available) {
   return sw;
 }
 
-/// Plans + availability for a cells-mode sweep: computed on a pristine
-/// planning cluster (the cells never touch it), so the result is a pure
-/// function of (core key, sweep bounds) and safe to reuse across queries.
-std::shared_ptr<const PlanSet> plans_for_cells(const ScenarioQuery& q,
-                                               const TopologySnapshot& topo,
-                                               const ClusterOptions& copt,
-                                               const CommOptions& opt,
-                                               ServerCaches* caches, ScenarioObs* obs) {
-  std::string key;
-  if (caches != nullptr) {
-    key = q.core_key() + "|min=" + std::to_string(q.min_bytes) +
-          "|max=" + std::to_string(q.max_bytes);
-    if (auto hit = caches->plans.find(key)) {
-      note_lookup(obs, "plans", true);
-      return hit;
-    }
-    note_lookup(obs, "plans", false);
-  }
+/// Plans for a cells-mode sweep, appended to `plans` in size order, computed
+/// on a pristine planning cluster (the cells never touch it). Returns
+/// comm->available(kAlltoall) for an alltoall sweep (true for other ops);
+/// false turns every row into a stall.
+bool plan_cells(const ScenarioQuery& q, const TopologySnapshot& topo,
+                const ClusterOptions& copt, const CommOptions& opt,
+                std::vector<metrics::RunManifest::PlanInfo>& plans) {
   Cluster planning(topo, copt);
   auto comm = make_comm(mechanism_of(q.mechanism), planning, q.gpus, opt);
-  auto ps = std::make_shared<PlanSet>();
   const CollectiveOp op = op_of(q.op);
+  bool alltoall_available = true;
   // Same probe/plan call sequence as the CLI driver: availability per size
   // first (only consulted for alltoall), then one plan() per size.
   for (Bytes b = q.min_bytes; b <= q.max_bytes; b *= 4) {
-    if (q.op == "alltoall") ps->alltoall_available = comm->available(CollectiveOp::kAlltoall);
-    (void)b;
+    if (q.op == "alltoall") alltoall_available = comm->available(CollectiveOp::kAlltoall);
   }
   for (Bytes b = q.min_bytes; b <= q.max_bytes; b *= 4) {
-    ps->plans.push_back(metrics::plan_info(b, comm->plan(op, b)));
+    plans.push_back(metrics::plan_info(b, comm->plan(op, b)));
   }
-  if (caches != nullptr) caches->plans.insert(key, ps, ps->cost_bytes());
-  return ps;
+  return alltoall_available;
 }
 
 /// One size of a cells-mode sweep: `reps` independent simulations seeded
@@ -275,10 +254,7 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
   std::vector<Samples> samples;
 
   if (q.cells) {
-    const std::shared_ptr<const PlanSet> ps =
-        plans_for_cells(q, *topo, copt, opt, caches, obs);
-    sw = make_sweep(q, ps->alltoall_available);
-    manifest.plans = ps->plans;
+    sw = make_sweep(q, plan_cells(q, *topo, copt, opt, manifest.plans));
     samples.resize(sw.sizes.size());
     for (std::size_t s = 0; s < sw.sizes.size(); ++s) {
       const int reps = sw.stalled[s] ? 0 : sw.rcs[s].iterations;

@@ -12,7 +12,7 @@
 // is what the byte-for-byte contract rests on.
 //
 // ServerCaches holds the cross-query caches (docs/SERVER.md): constructed
-// topologies, schedule plans, per-size cell results, and whole responses.
+// topologies, per-size cell results, and whole responses.
 // All are exact-compare and hold values bit-identical to recomputation, so
 // the determinism contract survives any cache state: warm answers equal
 // cold answers byte for byte.
@@ -54,22 +54,6 @@ std::optional<fault::FaultSchedule> resolve_faults(const std::string& spec,
 /// the override cannot host them.
 int resolved_nodes(const SystemConfig& cfg, int gpus, int nodes_override);
 
-/// Cache-cost estimate for a per-size Samples value (cells cache entries);
-/// shared with serve/persist.cpp so restored entries carry the same cost.
-std::size_t samples_cost(const Samples& s);
-
-/// Schedule identities for one sweep, cached across queries in cells mode
-/// (where the planning cluster is untouched by the runs, so the plans are a
-/// pure function of the core key + sweep bounds).
-struct PlanSet {
-  /// Per sweep size, in size order.
-  std::vector<metrics::RunManifest::PlanInfo> plans;
-  /// comm->available(kAlltoall) on the planning cluster (true for other
-  /// ops); false turns every row of an alltoall sweep into a stall.
-  bool alltoall_available = true;
-  std::size_t cost_bytes() const;
-};
-
 /// Everything a finished scenario renders: the stdout header + table the
 /// CLI prints, and the manifest in both artifact (pretty) and JSON-lines
 /// (compact) form. Immutable once built; the response cache shares it.
@@ -85,23 +69,20 @@ struct ScenarioOutput {
 };
 
 /// Cross-query caches, budgeted from --serve-cache-mb: half the budget for
-/// whole responses, the rest split across cell results (3/10) and the
-/// topology / plan caches (1/10 each).
+/// whole responses, 2/5 for cell results and 1/10 for topologies.
 class ServerCaches {
  public:
   explicit ServerCaches(std::size_t total_bytes)
       : topologies("topology", total_bytes / 10),
-        plans("plans", total_bytes / 10),
-        cells("cells", total_bytes * 3 / 10),
+        cells("cells", total_bytes * 2 / 5),
         responses("responses", total_bytes / 2) {}
 
   ExactCache<TopologySnapshot> topologies;
-  ExactCache<PlanSet> plans;
   ExactCache<Samples> cells;
   ExactCache<ScenarioOutput> responses;
 
   std::vector<CacheStats> stats() const {
-    return {topologies.stats(), plans.stats(), cells.stats(), responses.stats()};
+    return {topologies.stats(), cells.stats(), responses.stats()};
   }
 };
 
@@ -111,11 +92,11 @@ class ServerCaches {
 /// recording it never changes what runs.
 struct ScenarioObs {
   struct Lookup {
-    const char* cache;  // "responses" | "topology" | "plans" | "cells"
+    const char* cache;  // "responses" | "topology" | "cells"
     bool hit;
   };
   std::vector<Lookup> lookups;
-  /// "topology:hit,plans:miss,..." — the event-log rendering of `lookups`.
+  /// "topology:hit,cells:miss,..." — the event-log rendering of `lookups`.
   std::string chain() const;
 };
 

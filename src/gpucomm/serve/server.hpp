@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 
 #include "gpucomm/serve/obs.hpp"
 #include "gpucomm/serve/scenario.hpp"
@@ -66,12 +65,6 @@ struct ServeOptions {
   /// ok:false response and is otherwise discarded (the socket transport
   /// additionally closes the offending connection).
   std::size_t max_line_bytes = 1u << 20;
-  /// Snapshot file for the response/cell caches (serve/persist.hpp); empty
-  /// = no persistence. Loaded (with validation) at startup, saved at
-  /// shutdown and every `snapshot_every` answered queries.
-  std::string cache_file;
-  /// Answered-query cadence between snapshots (0 = only at shutdown).
-  int snapshot_every = 256;
   /// Observability (serve/obs.hpp): event log, latency histograms, trace
   /// spans, metrics snapshots. Off by default; zero overhead when off, and
   /// scenario response bytes are identical at any setting.
@@ -90,10 +83,6 @@ struct ServerCounters {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;   // clean EOF closes
   std::uint64_t connections_dropped = 0;  // closed on error/abuse, not EOF
-  std::uint64_t snapshots_saved = 0;
-  bool snapshot_loaded = false;
-  std::uint64_t snapshot_entries = 0;  // entries restored at startup
-  std::string snapshot_error;          // last persistence problem ("" = none)
 };
 
 struct ServeResult {

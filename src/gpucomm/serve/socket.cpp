@@ -132,8 +132,8 @@ bool serve_socket(const std::string& path, const ServeOptions& options,
   struct sigaction old_sa {};
   ::sigaction(SIGTERM, &sa, &old_sa);
 
-  // One engine for the server's lifetime: caches, counters, workers, and
-  // the cache snapshot file are shared across every connection.
+  // One engine for the server's lifetime: caches, counters and workers are
+  // shared across every connection.
   ServerCore core(options, /*always_pool=*/true);
 
   std::vector<std::unique_ptr<Conn>> conns;

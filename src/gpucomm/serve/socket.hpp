@@ -19,8 +19,8 @@
 //
 // Shutdown drains: a "shutdown" control query (after its barrier) or a
 // SIGTERM stops accepting, unlinks the socket path, finishes every admitted
-// query, flushes every connection, writes a final cache snapshot when
-// --serve-cache-file is set, and reports the final counters in the result.
+// query, flushes every connection, and reports the final counters in the
+// result.
 //
 // POSIX-only (AF_UNIX); on other platforms serve_socket reports an error.
 #pragma once

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "gpucomm/harness/cli_args.hpp"
+#include "gpucomm/sim/random.hpp"
 
 namespace gpucomm {
 namespace {
@@ -193,8 +194,6 @@ TEST(CliArgs, ServeRoundTrips) {
   EXPECT_EQ(def->serve_deadline_ms, 0);
   EXPECT_EQ(def->serve_max_queue, 1024);
   EXPECT_EQ(def->serve_max_line_bytes, 1u << 20);
-  EXPECT_TRUE(def->serve_cache_file.empty());
-  EXPECT_EQ(def->serve_snapshot_every, 256);
   EXPECT_TRUE(def->serve_log.empty());
   EXPECT_EQ(def->serve_log_max_mb, 64);
   EXPECT_TRUE(def->serve_trace.empty());
@@ -205,8 +204,7 @@ TEST(CliArgs, ServeRoundTrips) {
   const auto a = parse({"--serve", "--serve-jobs", "8", "--serve-cache-mb", "64",
                         "--serve-socket", "/tmp/gpucomm.sock", "--serve-deadline-ms",
                         "5000", "--serve-max-queue", "32", "--serve-max-line-bytes",
-                        "4096", "--serve-cache-file", "/tmp/gpucomm.cache",
-                        "--serve-snapshot-every", "100", "--serve-log", "/tmp/s.log",
+                        "4096", "--serve-log", "/tmp/s.log",
                         "--serve-log-max-mb", "8", "--serve-trace", "/tmp/s.trace",
                         "--serve-metrics-file", "/tmp/s.prom", "--serve-metrics-every",
                         "50", "--serve-slow-ms", "250"},
@@ -219,8 +217,6 @@ TEST(CliArgs, ServeRoundTrips) {
   EXPECT_EQ(a->serve_deadline_ms, 5000);
   EXPECT_EQ(a->serve_max_queue, 32);
   EXPECT_EQ(a->serve_max_line_bytes, 4096u);
-  EXPECT_EQ(a->serve_cache_file, "/tmp/gpucomm.cache");
-  EXPECT_EQ(a->serve_snapshot_every, 100);
   EXPECT_EQ(a->serve_log, "/tmp/s.log");
   EXPECT_EQ(a->serve_log_max_mb, 8);
   EXPECT_EQ(a->serve_trace, "/tmp/s.trace");
@@ -249,8 +245,6 @@ TEST(CliArgs, ServeSubflagsRequireServe) {
   EXPECT_FALSE(parse({"--serve-deadline-ms", "100"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-max-queue", "16"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-max-line-bytes", "4096"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-cache-file", "/tmp/c"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-snapshot-every", "10"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-log", "/tmp/s.log"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-log-max-mb", "8"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-trace", "/tmp/s.trace"}, err).has_value());
@@ -259,6 +253,26 @@ TEST(CliArgs, ServeSubflagsRequireServe) {
   EXPECT_FALSE(parse({"--serve-slow-ms", "250"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-jobs", "0", "--serve"}, err).has_value());
   EXPECT_FALSE(parse({"--serve", "--serve-cache-mb", "abc"}, err).has_value());
+  // A flag given at its default value is still a server flag: without
+  // --serve it is rejected by name, not silently ignored.
+  EXPECT_FALSE(parse({"--serve-jobs", "1", "--min", "8", "--max", "8"}, err).has_value());
+  EXPECT_EQ(err, "'--serve-jobs' requires --serve");
+  EXPECT_FALSE(parse({"--serve-cache-mb", "256"}, err).has_value());
+  EXPECT_FALSE(parse({"--serve-max-queue", "1024"}, err).has_value());
+  EXPECT_FALSE(parse({"--serve-max-line-bytes", "1048576"}, err).has_value());
+  EXPECT_FALSE(parse({"--serve-log-max-mb", "64"}, err).has_value());
+  EXPECT_FALSE(parse({"--serve-deadline-ms", "0"}, err).has_value());
+  EXPECT_FALSE(parse({"--serve-metrics-every", "0"}, err).has_value());
+  EXPECT_FALSE(parse({"--serve-slow-ms", "0", "--gpus", "4"}, err).has_value());
+  EXPECT_EQ(err, "'--serve-slow-ms' requires --serve");
+  // The first server flag is the one named.
+  EXPECT_FALSE(parse({"--serve-trace", "t.json", "--serve-jobs", "2"}, err).has_value());
+  EXPECT_EQ(err, "'--serve-trace' requires --serve");
+  // Removed flags are unknown, with or without --serve.
+  EXPECT_FALSE(parse({"--serve", "--serve-cache-file", "/tmp/c"}, err).has_value());
+  EXPECT_EQ(err, "unknown flag '--serve-cache-file'");
+  EXPECT_FALSE(parse({"--serve", "--serve-snapshot-every", "10"}, err).has_value());
+  EXPECT_EQ(err, "unknown flag '--serve-snapshot-every'");
 }
 
 TEST(CliArgs, ServeHardeningFlagsRejectBadRanges) {
@@ -269,13 +283,9 @@ TEST(CliArgs, ServeHardeningFlagsRejectBadRanges) {
   EXPECT_FALSE(parse({"--serve", "--serve-max-queue", "-1"}, err).has_value());
   EXPECT_FALSE(parse({"--serve", "--serve-max-line-bytes", "63"}, err).has_value());
   EXPECT_FALSE(parse({"--serve", "--serve-max-line-bytes", "abc"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-snapshot-every", "-1"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-cache-file"}, err).has_value());  // no value
-  // Zero is meaningful, not an error: no deadline, unbounded queue, snapshot
-  // only at shutdown.
+  // Zero is meaningful, not an error: no deadline, unbounded queue.
   EXPECT_TRUE(parse({"--serve", "--serve-deadline-ms", "0"}, err).has_value()) << err;
   EXPECT_TRUE(parse({"--serve", "--serve-max-queue", "0"}, err).has_value()) << err;
-  EXPECT_TRUE(parse({"--serve", "--serve-snapshot-every", "0"}, err).has_value()) << err;
   // Observability flags: value-taking paths and strict numeric ranges.
   EXPECT_FALSE(parse({"--serve", "--serve-log"}, err).has_value());
   EXPECT_FALSE(parse({"--serve", "--serve-trace"}, err).has_value());
@@ -307,6 +317,80 @@ TEST(CliArgs, ErrorMessageIsOneLine) {
   EXPECT_FALSE(parse({"--gpus", "abc"}, err).has_value());
   EXPECT_EQ(err.find('\n'), std::string::npos);
   EXPECT_FALSE(err.empty());
+}
+
+TEST(CliArgs, MutatedArgvFailsCleanly) {
+  // Seeded mutation fuzz of the command line: bit flips inside a token,
+  // token deletions, duplications and swaps, truncated argv and tokens, and
+  // huge or malformed numbers in place of any token. Every mutant either
+  // parses or fails with a non-empty one-line message.
+  const std::vector<std::vector<std::string>> bases = {
+      {"--system", "alps", "--op", "allreduce", "--mechanism", "ccl", "--gpus", "16",
+       "--min", "1024", "--max", "1048576", "--space", "host", "--untuned", "--sl", "3",
+       "--iters", "7", "--placement", "groups", "--seed", "9", "--nodes", "4",
+       "--no-noise", "--metrics-out", "m.json", "--trace", "t.json", "--counters",
+       "--profile", "--timeseries", "ts.csv", "--bucket-us", "10", "--faults",
+       "at 1us down link 4"},
+      {"--serve", "--serve-jobs", "4", "--serve-cache-mb", "64", "--serve-socket",
+       "/tmp/s.sock", "--serve-deadline-ms", "500", "--serve-max-queue", "32",
+       "--serve-max-line-bytes", "4096", "--serve-log", "s.log", "--serve-log-max-mb", "8",
+       "--serve-trace", "s.trace", "--serve-metrics-file", "s.prom",
+       "--serve-metrics-every", "50", "--serve-slow-ms", "250"},
+      {"--system", "lumi", "--op", "alltoall", "--mechanism", "mpi", "--gpus", "8",
+       "--jobs", "4", "--min", "8", "--max", "8", "--iters", "3", "--dump-schedule"},
+  };
+  const char* const numbers[] = {"99999999999999999999999", "-9223372036854775808",
+                                 "9223372036854775807", "18446744073709551616",
+                                 "1e309",  "0x10", "-0", "", " 7", "7 "};
+  std::string err;
+  for (const auto& base : bases) {
+    std::vector<const char*> argv;
+    for (const std::string& t : base) argv.push_back(t.c_str());
+    ASSERT_TRUE(parse(argv, err).has_value()) << err;
+  }
+  Rng rng(0xc11);
+  int rejected = 0, accepted = 0;
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<std::string> tokens = bases[rng.uniform_int(bases.size())];
+    const int edits = 1 + static_cast<int>(rng.uniform_int(3));
+    for (int e = 0; e < edits && !tokens.empty(); ++e) {
+      const std::size_t at = rng.uniform_int(tokens.size());
+      std::string& tok = tokens[at];
+      switch (rng.uniform_int(6)) {
+        case 0:
+          if (!tok.empty()) {
+            const std::size_t c = rng.uniform_int(tok.size());
+            tok[c] = static_cast<char>(tok[c] ^ (1 << rng.uniform_int(8)));
+          }
+          break;
+        case 1: tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(at)); break;
+        case 2: {
+          const std::string copy = tok;
+          tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(
+                                             rng.uniform_int(tokens.size() + 1)),
+                        copy);
+          break;
+        }
+        case 3: tokens.resize(at); break;
+        case 4: tok.resize(rng.uniform_int(tok.size() + 1)); break;
+        default: tok = numbers[rng.uniform_int(std::size(numbers))]; break;
+      }
+    }
+    std::vector<const char*> argv;
+    for (const std::string& t : tokens) argv.push_back(t.c_str());
+    err.clear();
+    if (parse(argv, err).has_value()) {
+      ++accepted;
+      continue;
+    }
+    ++rejected;
+    std::string shown;
+    for (const std::string& t : tokens) shown += "[" + t + "]";
+    EXPECT_FALSE(err.empty()) << shown;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << shown << ": " << err;
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
 }
 
 }  // namespace

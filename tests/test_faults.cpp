@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "gpucomm/cluster/cluster.hpp"
@@ -17,6 +18,7 @@
 #include "gpucomm/comm/staging.hpp"
 #include "gpucomm/fault/fault_injector.hpp"
 #include "gpucomm/fault/fault_schedule.hpp"
+#include "gpucomm/sim/random.hpp"
 #include "gpucomm/systems/registry.hpp"
 #include "gpucomm/telemetry/counters.hpp"
 #include "gpucomm/telemetry/trace_export.hpp"
@@ -146,6 +148,9 @@ TEST(FaultSchedule, MalformedSpecTableRejectsWithOneLineErrors) {
       "at 1 down link 4",                 // time without a unit
       "at 1lightyears down link 4",       // unknown time unit
       "at -1us down link 4",              // negative time
+      "at nanus down link 4",             // not a number
+      "at 1e300s down link 4",            // past the picosecond clock's range
+      "at infms down link 4",             // infinite time
       "at 1us explode link 4",            // unknown verb
       "at 1us down router 4",             // unknown target kind
       "at 1us down link",                 // missing target id
@@ -160,6 +165,8 @@ TEST(FaultSchedule, MalformedSpecTableRejectsWithOneLineErrors) {
       "at 1us degrade link 4 -0.5",       // factor below the (0,1) range
       "at 1us straggle gpu 0",            // straggler without a factor
       "at 1us straggle gpu 0 nine",       // non-numeric factor
+      "at 1us straggle gpu 0 inf",        // infinite factor
+      "at 1us degrade link 4 nan",        // NaN passes no range check
       "at 1us fail nic",                  // fail without a device
       "at 1us up",                        // up without a target
   };
@@ -170,6 +177,91 @@ TEST(FaultSchedule, MalformedSpecTableRejectsWithOneLineErrors) {
     EXPECT_FALSE(err.empty()) << text;
     EXPECT_EQ(err.find('\n'), std::string::npos) << text << ": " << err;
   }
+}
+
+TEST(FaultSchedule, MutatedSchedulesFailCleanly) {
+  // Seeded mutation fuzz of the grammar: a few of the documented lines
+  // (sometimes one twice), then byte flips, deletions, insertions and
+  // truncations of the text, and huge or non-finite numbers in place of any
+  // token. Every mutant is either a schedule whose values stay in their
+  // documented ranges, or a rejection with a one-line "line N: ..." message
+  // naming a line of the input.
+  const std::string lines[] = {
+      "# header comment",
+      "at 100us down link 42",
+      "at 100us down link 3-17   # device pair",
+      "at 100us down link 42 for 200us",
+      "at 300us up link 42",
+      "at 0s degrade link 42 0.25",
+      "at 50us fail nic 12",
+      "at 50us fail switch 7",
+      "at 0s straggle gpu 3 2.5",
+      "at 7ns up link 3-17",
+      "at 1ms degrade link 5-6 1",
+      "at 2500ps straggle gpu 0 1",
+  };
+  const char* const numbers[] = {"1e309",  "-1e309", "inf",   "nan",   "1e300s",
+                                 "9.3e6s", "1e20us", "nanus", "infms", "4294967295",
+                                 "4294967296", "99999999999999999999", "-0", "0x1p3"};
+  std::string text;
+  for (const std::string& l : lines) text += l + "\n";
+  ASSERT_TRUE(fault::parse_fault_schedule(text).has_value());
+
+  Rng rng(0xfa17);
+  int rejected = 0, accepted = 0;
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<std::string> picked;
+    const int n_lines = 1 + static_cast<int>(rng.uniform_int(4));
+    for (int l = 0; l < n_lines; ++l) picked.push_back(lines[rng.uniform_int(std::size(lines))]);
+    if (rng.uniform_int(4) == 0) picked.push_back(picked[rng.uniform_int(picked.size())]);
+    std::string t;
+    for (const std::string& l : picked) t += l + "\n";
+    const int edits = 1 + static_cast<int>(rng.uniform_int(3));
+    for (int e = 0; e < edits && !t.empty(); ++e) {
+      const std::size_t at = rng.uniform_int(t.size());
+      switch (rng.uniform_int(5)) {
+        case 0: t[at] = static_cast<char>(t[at] ^ (1 << rng.uniform_int(8))); break;
+        case 1: t.erase(at, 1); break;
+        case 2: t.insert(at, 1, static_cast<char>(rng.uniform_int(256))); break;
+        case 3: t.resize(at); break;
+        default: {
+          // Replace the token around `at` with a number.
+          std::size_t b = at;
+          while (b > 0 && t[b - 1] != ' ' && t[b - 1] != '\n') --b;
+          const std::size_t end = t.find_first_of(" \n", b);
+          t.replace(b, end == std::string::npos ? std::string::npos : end - b,
+                    numbers[rng.uniform_int(std::size(numbers))]);
+          break;
+        }
+      }
+    }
+    std::string err;
+    const auto sched = fault::parse_fault_schedule(t, &err);
+    if (sched.has_value()) {
+      ++accepted;
+      for (const FaultEvent& e : sched->events) {
+        EXPECT_GE(e.time, SimTime::zero()) << t;
+        EXPECT_GE(e.duration, SimTime::zero()) << t;
+        if (e.kind == FaultKind::kLinkDegrade) {
+          EXPECT_TRUE(e.factor > 0.0 && e.factor <= 1.0) << t;
+        } else if (e.kind == FaultKind::kStraggler) {
+          EXPECT_TRUE(e.factor >= 1.0 && std::isfinite(e.factor)) << t;
+        }
+      }
+      continue;
+    }
+    ++rejected;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << t << ": " << err;
+    const std::size_t colon = err.find(": ");
+    ASSERT_EQ(err.rfind("line ", 0), 0u) << t << ": " << err;
+    ASSERT_NE(colon, std::string::npos) << t << ": " << err;
+    const int line_no = std::stoi(err.substr(5, colon - 5));
+    const auto text_lines = std::count(t.begin(), t.end(), '\n') + 1;
+    EXPECT_GE(line_no, 1) << t << ": " << err;
+    EXPECT_LE(line_no, text_lines) << t << ": " << err;
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
 }
 
 // --- injector validation ----------------------------------------------------

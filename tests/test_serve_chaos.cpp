@@ -1,11 +1,10 @@
 // Robustness of the hardened scenario server: bounded line framing, complete
-// writes, crash-safe cache persistence, deadlines and load shedding, and a
-// live unix-socket server under hostile clients (concurrent connections,
-// slow-loris dribbles, dropped connections mid-query, oversized lines,
-// graceful drain via shutdown and SIGTERM). The invariant under every attack
-// is the determinism contract: the same query stream draws byte-identical
-// responses, at any concurrency, any cache state, and across a restart that
-// warms from a disk snapshot.
+// writes, deadlines and load shedding, and a live unix-socket server under
+// hostile clients (concurrent connections, slow-loris dribbles, dropped
+// connections mid-query, oversized lines, graceful drain via shutdown and
+// SIGTERM). The invariant under every attack is the determinism contract:
+// the same query stream draws byte-identical responses, at any concurrency
+// and any cache state.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -21,7 +20,6 @@
 #include "gpucomm/serve/cache.hpp"
 #include "gpucomm/serve/core.hpp"
 #include "gpucomm/serve/io.hpp"
-#include "gpucomm/serve/persist.hpp"
 #include "gpucomm/serve/scenario.hpp"
 #include "gpucomm/serve/server.hpp"
 #include "gpucomm/serve/socket.hpp"
@@ -288,130 +286,6 @@ TEST(ServeChaosStdio, StatsCarriesServerCounters) {
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[1].find("\"server\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"parse_errors\": 1"), std::string::npos) << lines[1];
-}
-
-// --- crash-safe cache persistence -------------------------------------------
-
-TEST(Persistence, RoundTripsResponsesAndCellsBitExact) {
-  const std::string path = temp_path("snap");
-  ServerCaches a(64u << 20);
-  auto out = std::make_shared<ScenarioOutput>();
-  out->header = "# header\n";
-  out->table = "table text\n";
-  out->manifest_pretty = "{\n \"x\": 1\n}\n";
-  out->manifest_compact = "{\"x\":1}";
-  a.responses.insert("resp-key", out, out->cost_bytes());
-  auto cells = std::make_shared<Samples>();
-  cells->us = {1.5, 2.25, 0.1 + 0.2};  // deliberately non-representable sum
-  cells->aborted_us = {7.125};
-  a.cells.insert("cell-key", cells, samples_cost(*cells));
-
-  const SnapshotInfo saved = save_cache_snapshot(path, a);
-  ASSERT_TRUE(saved.ok) << saved.error;
-  EXPECT_EQ(saved.responses, 1u);
-  EXPECT_EQ(saved.cells, 1u);
-
-  ServerCaches b(64u << 20);
-  const SnapshotInfo loaded = load_cache_snapshot(path, b);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  const auto r = b.responses.find("resp-key");
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->header, out->header);
-  EXPECT_EQ(r->table, out->table);
-  EXPECT_EQ(r->manifest_pretty, out->manifest_pretty);
-  EXPECT_EQ(r->manifest_compact, out->manifest_compact);
-  const auto c = b.cells.find("cell-key");
-  ASSERT_NE(c, nullptr);
-  ASSERT_EQ(c->us.size(), 3u);
-  // Bit-exact doubles, not printf round-trips.
-  EXPECT_EQ(c->us[2], 0.1 + 0.2);
-  EXPECT_EQ(c->aborted_us[0], 7.125);
-  std::remove(path.c_str());
-}
-
-TEST(Persistence, RejectsCorruptionWholesaleAndLeavesCachesCold) {
-  const std::string path = temp_path("corrupt");
-  ServerCaches a(64u << 20);
-  auto out = std::make_shared<ScenarioOutput>();
-  out->manifest_compact = "{\"x\":1}";
-  a.responses.insert("k", out, 64);
-  ASSERT_TRUE(save_cache_snapshot(path, a).ok);
-
-  // Flip one payload byte: the checksum must reject the whole file.
-  std::string bytes;
-  {
-    std::ifstream f(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
-  }
-  bytes[bytes.size() - 3] ^= 0x40;
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f << bytes;
-  }
-  ServerCaches b(64u << 20);
-  const SnapshotInfo info = load_cache_snapshot(path, b);
-  EXPECT_FALSE(info.ok);
-  EXPECT_NE(info.error.find("checksum"), std::string::npos) << info.error;
-  EXPECT_EQ(b.responses.stats().entries, 0u);  // untouched: cold start
-
-  // Truncation anywhere is equally fatal.
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f << bytes.substr(0, bytes.size() / 2);
-  }
-  EXPECT_FALSE(load_cache_snapshot(path, b).ok);
-  // Wrong magic (e.g. an unrelated file at the path).
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f << "this is not a snapshot";
-  }
-  const SnapshotInfo magic = load_cache_snapshot(path, b);
-  EXPECT_FALSE(magic.ok);
-  EXPECT_NE(magic.error.find("magic"), std::string::npos) << magic.error;
-  std::remove(path.c_str());
-}
-
-TEST(Persistence, MissingFileIsAColdStartNotAnError) {
-  ServerCaches b(64u << 20);
-  const SnapshotInfo info = load_cache_snapshot(temp_path("nonexistent"), b);
-  EXPECT_FALSE(info.ok);
-  EXPECT_EQ(info.error, "missing");
-}
-
-TEST(Persistence, WarmFromDiskAnswersAreByteIdenticalToWarmInMemory) {
-  const std::string path = temp_path("warm");
-  std::remove(path.c_str());
-  const std::string input = std::string(kFastQuery) + "\n";
-
-  ServeOptions o;
-  o.cache_bytes = 64u << 20;
-  o.cache_file = path;
-  o.snapshot_every = 1;
-  ServeResult r1;
-  const std::string cold = run_loop(input, o, &r1);
-  EXPECT_FALSE(r1.counters.snapshot_loaded);  // nothing on disk yet
-  EXPECT_GE(r1.counters.snapshots_saved, 1u);
-
-  // Fresh process ≈ fresh loop: caches start empty, warm from the snapshot.
-  ServeResult r2;
-  const std::string warm = run_loop(input, o, &r2);
-  EXPECT_TRUE(r2.counters.snapshot_loaded) << r2.counters.snapshot_error;
-  EXPECT_GT(r2.counters.snapshot_entries, 0u);
-  EXPECT_EQ(warm, cold);  // the whole point of persisting
-
-  // Corrupt the snapshot: the server must fall back to a cold start and
-  // still produce the same bytes by recomputation.
-  {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(-2, std::ios::end);
-    f.put('\x7f');
-  }
-  ServeResult r3;
-  const std::string recovered = run_loop(input, o, &r3);
-  EXPECT_FALSE(r3.counters.snapshot_loaded);
-  EXPECT_FALSE(r3.counters.snapshot_error.empty());
-  EXPECT_EQ(recovered, cold);
-  std::remove(path.c_str());
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -721,42 +595,6 @@ TEST(ServeChaosSocket, SigtermFlushesEventLogWithFinalTally) {
   EXPECT_NE(last.find("\"type\":\"serve_drained\""), std::string::npos) << last;
   EXPECT_NE(last.find("\"answered\":1"), std::string::npos) << last;
   std::remove(log.c_str());
-}
-
-TEST(ServeChaosSocket, RestartWarmsFromSnapshotWithIdenticalBytes) {
-  const std::string snap = temp_path("sock_snap");
-  std::remove(snap.c_str());
-  ServeOptions o = socket_options();
-  o.cache_file = snap;
-  o.snapshot_every = 1;
-  const std::string query = std::string(kFastQuery) + "\n";
-
-  std::string cold;
-  {
-    SocketServer server("persist1", o);
-    const int fd = connect_unix(server.path);
-    ASSERT_GE(fd, 0);
-    ASSERT_TRUE(send_all_fd(fd, query));
-    cold = read_lines_fd(fd, 1);
-    ASSERT_FALSE(cold.empty());
-    ::close(fd);
-    server.shutdown_and_join();
-    ASSERT_TRUE(server.ok) << server.error;
-  }
-  // "kill -9 then restart": a fresh server instance, warm only from disk.
-  {
-    SocketServer server("persist2", o);
-    const int fd = connect_unix(server.path);
-    ASSERT_GE(fd, 0);
-    ASSERT_TRUE(send_all_fd(fd, query));
-    const std::string warm = read_lines_fd(fd, 1);
-    ::close(fd);
-    EXPECT_EQ(warm, cold);  // byte-identical across the restart
-    server.shutdown_and_join();
-    EXPECT_TRUE(server.result.counters.snapshot_loaded)
-        << server.result.counters.snapshot_error;
-  }
-  std::remove(snap.c_str());
 }
 
 #endif  // POSIX socket tests

@@ -13,7 +13,6 @@
 //   gpucomm_cli --serve [--serve-jobs N] [--serve-cache-mb N]
 //               [--serve-socket path] [--serve-deadline-ms N]
 //               [--serve-max-queue N] [--serve-max-line-bytes N]
-//               [--serve-cache-file path] [--serve-snapshot-every N]
 //               [--serve-log path] [--serve-log-max-mb N] [--serve-trace path]
 //               [--serve-metrics-file path] [--serve-metrics-every N]
 //               [--serve-slow-ms N]
@@ -114,9 +113,6 @@ constexpr const char* kUsage =
     "  [--serve-max-queue N]           admission bound; overflow answers error\n"
     "                                  \"overloaded\" with retry_after_ms (0 = off)\n"
     "  [--serve-max-line-bytes N]      longest accepted request line (default 1MiB)\n"
-    "  [--serve-cache-file path]       crash-safe cache snapshot, loaded at start,\n"
-    "                                  written at shutdown and every\n"
-    "  [--serve-snapshot-every N]      ...N answered queries (default 256)\n"
     "  [--serve-log path]              structured JSON-lines event log (admissions,\n"
     "                                  sheds, cache hits, solves, connections)\n"
     "  [--serve-log-max-mb N]          rotate the event log past N MiB (default 64)\n"
@@ -180,8 +176,6 @@ int run_serve(const cli::CliArgs& a, const char* argv0) {
   o.deadline_ms = a.serve_deadline_ms;
   o.max_queue = a.serve_max_queue;
   o.max_line_bytes = a.serve_max_line_bytes;
-  o.cache_file = a.serve_cache_file;
-  o.snapshot_every = a.serve_snapshot_every;
   o.obs.log_path = a.serve_log;
   o.obs.log_max_bytes = static_cast<std::size_t>(a.serve_log_max_mb) << 20;
   o.obs.trace_path = a.serve_trace;
