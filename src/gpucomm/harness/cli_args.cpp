@@ -214,27 +214,6 @@ std::optional<CliArgs> parse_cli(int argc, const char* const* argv, std::string&
         return fail(flag + " requires a byte bound in [64, 1073741824]");
       }
       a.serve_max_line_bytes = static_cast<std::size_t>(n);
-    } else if (flag == "--serve-log") {
-      if (!need(a.serve_log)) return fail(flag + " requires an output path");
-    } else if (flag == "--serve-log-max-mb") {
-      if (!need(v) || !parse_int(v, 1, 1 << 20, n)) {
-        return fail(flag + " requires a rotation bound in MiB in [1, 1048576]");
-      }
-      a.serve_log_max_mb = static_cast<int>(n);
-    } else if (flag == "--serve-trace") {
-      if (!need(a.serve_trace)) return fail(flag + " requires an output path");
-    } else if (flag == "--serve-metrics-file") {
-      if (!need(a.serve_metrics_file)) return fail(flag + " requires an output path");
-    } else if (flag == "--serve-metrics-every") {
-      if (!need(v) || !parse_int(v, 0, 1'000'000'000, n)) {
-        return fail(flag + " requires a query cadence in [0, 1000000000]");
-      }
-      a.serve_metrics_every = static_cast<int>(n);
-    } else if (flag == "--serve-slow-ms") {
-      if (!need(v) || !parse_int(v, 0, 86'400'000, n)) {
-        return fail(flag + " requires a threshold in ms in [0, 86400000]");
-      }
-      a.serve_slow_ms = static_cast<int>(n);
     } else {
       return fail("unknown flag '" + flag + "'");
     }

@@ -96,20 +96,6 @@ struct CliArgs {
   int serve_max_queue = 1024;
   /// Longest accepted request line in bytes (default 1 MiB).
   std::size_t serve_max_line_bytes = 1u << 20;
-  /// --serve-log: structured JSON-lines event log (serve/obs.hpp); empty =
-  /// off.
-  std::string serve_log;
-  /// --serve-log-max-mb: event-log rotation bound in MiB.
-  int serve_log_max_mb = 64;
-  /// --serve-trace: Chrome-trace span export path; empty = off.
-  std::string serve_trace;
-  /// --serve-metrics-file: Prometheus text snapshot path; empty = off.
-  std::string serve_metrics_file;
-  /// --serve-metrics-every: metrics snapshot cadence in answered queries
-  /// (0 = only at shutdown).
-  int serve_metrics_every = 0;
-  /// --serve-slow-ms: slow-query record threshold in ms (0 = off).
-  int serve_slow_ms = 0;
   bool help = false;  // --help/-h seen; caller prints usage, exits 0
 };
 

@@ -6,9 +6,8 @@
 // tallies — merges by plain addition (min/max by min/max), so a merged
 // snapshot over N per-worker histograms is a pure function of the multiset
 // of recorded values: quantile estimates are invariant under how the values
-// were sharded across workers. That invariance is what lets the scenario
-// server keep one uncontended histogram set per worker lane and merge only
-// when a `stats`/`metrics` barrier query reads them.
+// were sharded across workers. The scenario server keeps one set of these
+// (one per request stage) behind its `stats`/`metrics` control queries.
 //
 // quantile() interpolates linearly inside the target bucket and clamps the
 // estimate to the exact recorded [min, max], so quantile(0) == min and

@@ -77,57 +77,18 @@ std::string render_response(const ScenarioQuery& q,
 }
 
 /// Answer one scenario query (run, optional artifact file, response line).
-/// `obs`/`sobs` are null when observability is off; when on they record the
-/// run and render stages, the trace spans, and the per-cache lookup events.
-std::string answer(const ScenarioQuery& q, ServerCaches& caches, Obs* obs, int lane,
-                   std::uint64_t seq, ScenarioObs* sobs) {
+/// `obs` is null when the latency histograms are off; when on it records the
+/// run and render stages.
+std::string answer(const ScenarioQuery& q, ServerCaches& caches, Obs* obs) {
   std::string err;
-  if (obs != nullptr && obs->want_events()) {
-    obs->event(EventRecord(obs->ts_us(), "run_start")
-                   .field("id", q.id)
-                   .field("seq", seq)
-                   .str());
-  }
-  const std::uint64_t t_run0 = obs != nullptr ? obs->now_ns() : 0;
+  const Obs::Clock::time_point t_run = obs != nullptr ? Obs::Clock::now()
+                                                      : Obs::Clock::time_point();
   const std::shared_ptr<const ScenarioOutput> out =
-      run_scenario(q, &caches, /*want_manifest=*/true, err, sobs);
-  const std::uint64_t t_run1 = obs != nullptr ? obs->now_ns() : 0;
-  if (obs != nullptr) {
-    obs->record(lane, Stage::kRun, t_run1 - t_run0);
-    if (obs->want_spans()) obs->span("run", lane, q.id, seq, t_run0, t_run1);
-    if (obs->want_events()) {
-      if (sobs != nullptr) {
-        for (const ScenarioObs::Lookup& l : sobs->lookups) {
-          obs->event(EventRecord(obs->ts_us(), "cache")
-                         .field("id", q.id)
-                         .field("seq", seq)
-                         .field("cache", std::string(l.cache))
-                         .field_bool("hit", l.hit)
-                         .str());
-        }
-      }
-      obs->event(EventRecord(obs->ts_us(), "run_finish")
-                     .field("id", q.id)
-                     .field("seq", seq)
-                     .field_bool("ok", out != nullptr)
-                     .field("run_ms", static_cast<double>(t_run1 - t_run0) / 1e6)
-                     .str());
-    }
-  }
-  const std::uint64_t t_r0 = obs != nullptr ? obs->now_ns() : 0;
+      run_scenario(q, &caches, /*want_manifest=*/true, err);
+  const Obs::Clock::time_point t_render =
+      obs != nullptr ? obs->record(Stage::kRun, t_run) : t_run;
   std::string line = render_response(q, out, err);
-  if (obs != nullptr) {
-    const std::uint64_t t_r1 = obs->now_ns();
-    obs->record(lane, Stage::kRender, t_r1 - t_r0);
-    if (obs->want_spans()) obs->span("render", lane, q.id, seq, t_r0, t_r1);
-    if (obs->want_events()) {
-      obs->event(EventRecord(obs->ts_us(), "render")
-                     .field("id", q.id)
-                     .field("seq", seq)
-                     .field("bytes", static_cast<std::uint64_t>(line.size()))
-                     .str());
-    }
-  }
+  if (obs != nullptr) obs->record(Stage::kRender, t_render);
   return line;
 }
 
@@ -213,8 +174,8 @@ std::string ServerCore::stats_line(std::int64_t id) const {
   w.kv("connections_closed", c.connections_closed);
   w.kv("connections_dropped", c.connections_dropped);
   w.end_object();
-  // Merged latency histograms, present only when observability is on (the
-  // stats document is load-dependent either way, so this breaks nothing).
+  // Latency histograms, present only when they are on (the stats document
+  // is load-dependent either way, so this breaks nothing).
   if (obs_ != nullptr) {
     const LatencyStats ls = obs_->latency();
     w.key("latency");
@@ -229,11 +190,6 @@ std::string ServerCore::stats_line(std::int64_t id) const {
       w.kv("max", ls.stage[st].max_us);
       w.end_object();
     }
-    w.kv("log_records", ls.log_records);
-    w.kv("log_dropped", ls.log_dropped);
-    w.kv("log_rotations", ls.log_rotations);
-    w.kv("spans", ls.spans);
-    w.kv("spans_dropped", ls.spans_dropped);
     w.end_object();
   }
   w.end_object();
@@ -243,7 +199,7 @@ std::string ServerCore::stats_line(std::int64_t id) const {
 std::string ServerCore::metrics_line(std::int64_t id) const {
   // The Prometheus document rides inside the JSON-lines protocol as one
   // escaped string field; tools/gpucomm_jsonv --prom validates the unescaped
-  // text, and --serve-metrics-file writes the same bytes to disk.
+  // text.
   return "{\"id\":" + std::to_string(id) +
          ",\"ok\":true,\"control\":\"metrics\",\"prometheus\":\"" +
          metrics::json_escape(prometheus_text()) + "\"}";
@@ -286,8 +242,9 @@ std::string ServerCore::prometheus_text() const {
      << "gpucomm_solver_reallocations_total " << solver.reallocations << "\n";
   if (obs_ != nullptr) {
     os << "# TYPE gpucomm_serve_latency_us summary\n";
+    const Obs::Histograms hs = obs_->histograms();
     for (int st = 0; st < kStageCount; ++st) {
-      const metrics::Log2Histogram h = obs_->merged(static_cast<Stage>(st));
+      const metrics::Log2Histogram& h = hs[static_cast<std::size_t>(st)];
       const char* stage = stage_name(static_cast<Stage>(st));
       const double qs[] = {0.5, 0.9, 0.99};
       const char* qn[] = {"0.5", "0.9", "0.99"};
@@ -300,12 +257,6 @@ std::string ServerCore::prometheus_text() const {
          << "gpucomm_serve_latency_us_count{stage=\"" << stage << "\"} " << h.count()
          << "\n";
     }
-    const LatencyStats ls = obs_->latency();
-    os << "# TYPE gpucomm_serve_log_records_total counter\n"
-       << "gpucomm_serve_log_records_total " << ls.log_records << "\n"
-       << "gpucomm_serve_log_dropped_total " << ls.log_dropped << "\n"
-       << "gpucomm_serve_spans_total " << ls.spans << "\n"
-       << "gpucomm_serve_spans_dropped_total " << ls.spans_dropped << "\n";
   }
   return os.str();
 }
@@ -333,13 +284,9 @@ ServerCore::ServerCore(const ServeOptions& options, bool always_pool)
   }
   const int pool_size = always_pool ? std::max(1, options_.jobs)
                                     : (options_.jobs > 1 ? options_.jobs : 0);
-  if (options_.obs.enabled()) {
-    // Lane layout: workers 0..pool_size-1, transport thread (also the
-    // inline-execution path) on the last lane.
-    obs_ = std::make_unique<Obs>(options_.obs, pool_size + 1);
-  }
+  if (options_.obs.latency) obs_ = std::make_unique<Obs>();
   for (int i = 0; i < pool_size; ++i) {
-    threads_.emplace_back([this, i] { worker(i); });
+    threads_.emplace_back([this] { worker(); });
   }
 }
 
@@ -354,26 +301,6 @@ void ServerCore::drain() {
   queue_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
-  if (obs_ != nullptr) {
-    // Structured final tally (the machine-readable sibling of the stderr
-    // "serve drained" line), then flush the ring, write the trace, and
-    // refresh the metrics snapshot. This runs on every exit path — EOF,
-    // shutdown control, and the socket transport's SIGTERM drain — so a
-    // terminated server still flushes its observability artifacts.
-    const ServerCounters c = counters();
-    std::string final_record;
-    if (obs_->want_events()) {
-      final_record = EventRecord(obs_->ts_us(), "serve_drained")
-                         .field("answered", c.answered)
-                         .field("shed", c.shed_overload + c.shed_deadline)
-                         .field("parse_errors", c.parse_errors)
-                         .field("line_overflows", c.line_overflows)
-                         .field("log_dropped", obs_->latency().log_dropped)
-                         .str();
-    }
-    obs_->finalize(final_record,
-                   obs_->want_metrics_file() ? prometheus_text() : std::string());
-  }
 }
 
 LatencyStats ServerCore::latency_stats() const {
@@ -389,16 +316,12 @@ ServerCore::LineAction ServerCore::handle_line(
     const std::shared_ptr<OrderedWriter>& writer, std::uint64_t seq,
     const std::string& line, bool deferred_controls) {
   Obs* obs = obs_.get();
-  const std::uint64_t t_parse0 = obs != nullptr ? obs->now_ns() : 0;
-  // Parse-stage accounting on the transport lane: every request line is
-  // parsed exactly once, success or not.
-  const auto note_parse = [&](std::int64_t id) {
-    if (obs == nullptr) return;
-    const std::uint64_t t1 = obs->now_ns();
-    obs->record(obs->transport_lane(), Stage::kParse, t1 - t_parse0);
-    if (obs->want_spans()) {
-      obs->span("parse", obs->transport_lane(), id, seq, t_parse0, t1);
-    }
+  const Obs::Clock::time_point t_parse =
+      obs != nullptr ? Obs::Clock::now() : Obs::Clock::time_point();
+  // Parse-stage accounting: every request line is parsed exactly once,
+  // success or not.
+  const auto note_parse = [&] {
+    if (obs != nullptr) obs->record(Stage::kParse, t_parse);
   };
   std::string perr;
   const std::optional<JsonValue> doc = parse_json(line, perr);
@@ -407,13 +330,7 @@ ServerCore::LineAction ServerCore::handle_line(
       const std::lock_guard<std::mutex> lock(counters_mu_);
       ++counters_.parse_errors;
     }
-    note_parse(0);
-    if (obs != nullptr && obs->want_events()) {
-      obs->event(EventRecord(obs->ts_us(), "parse_error")
-                     .field("seq", seq)
-                     .field("error", perr)
-                     .str());
-    }
+    note_parse();
     writer->deliver(seq, error_line(0, perr));
     return LineAction::kContinue;
   }
@@ -421,7 +338,7 @@ ServerCore::LineAction ServerCore::handle_line(
   if (control != nullptr) {
     const std::int64_t id = id_of(&*doc);
     const std::string kind = control->is_string() ? control->as_string() : "";
-    note_parse(id);
+    note_parse();
     if (kind != "ping" && kind != "stats" && kind != "metrics" && kind != "shutdown") {
       writer->deliver(seq,
                       error_line(id, "unknown control (ping|stats|metrics|shutdown)"));
@@ -473,19 +390,12 @@ ServerCore::LineAction ServerCore::handle_line(
       const std::lock_guard<std::mutex> lock(counters_mu_);
       ++counters_.parse_errors;
     }
-    note_parse(id_of(&*doc));
-    if (obs != nullptr && obs->want_events()) {
-      obs->event(EventRecord(obs->ts_us(), "parse_error")
-                     .field("id", id_of(&*doc))
-                     .field("seq", seq)
-                     .field("error", qerr)
-                     .str());
-    }
+    note_parse();
     writer->deliver(seq, error_line(id_of(&*doc), qerr));
     return LineAction::kContinue;
   }
-  note_parse(q->id);
-  submit(writer, seq, std::move(*q), line);
+  note_parse();
+  submit(writer, seq, std::move(*q));
   return LineAction::kContinue;
 }
 
@@ -505,18 +415,12 @@ void ServerCore::note_connection_accepted() {
     const std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.connections_accepted;
   }
-  if (obs_ != nullptr && obs_->want_events()) {
-    obs_->event(EventRecord(obs_->ts_us(), "conn_open").str());
-  }
 }
 
 void ServerCore::note_connection_closed() {
   {
     const std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.connections_closed;
-  }
-  if (obs_ != nullptr && obs_->want_events()) {
-    obs_->event(EventRecord(obs_->ts_us(), "conn_close").str());
   }
 }
 
@@ -525,35 +429,20 @@ void ServerCore::note_connection_dropped() {
     const std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.connections_dropped;
   }
-  if (obs_ != nullptr && obs_->want_events()) {
-    obs_->event(EventRecord(obs_->ts_us(), "conn_drop").str());
-  }
 }
 
 void ServerCore::submit(const std::shared_ptr<OrderedWriter>& writer,
-                        std::uint64_t seq, ScenarioQuery query,
-                        const std::string& line) {
-  Obs* obs = obs_.get();
+                        std::uint64_t seq, ScenarioQuery query) {
   Job job;
   job.writer = writer;
   job.seq = seq;
   job.deadline_ms = query.deadline_ms > 0 ? query.deadline_ms : options_.deadline_ms;
   job.query = std::move(query);
   job.admitted = std::chrono::steady_clock::now();
-  if (obs != nullptr) {
-    job.obs_admit_ns = obs->now_ns();
-    if (obs->want_slow_queries()) job.raw_line = line;
-    if (obs->want_events()) {
-      obs->event(EventRecord(obs->ts_us(), "admit")
-                     .field("id", job.query.id)
-                     .field("seq", seq)
-                     .str());
-    }
-  }
   if (threads_.empty()) {
     // Inline mode (stdio, jobs <= 1): no queue, so nothing to bound and no
-    // queue wait to budget — run immediately on the transport lane.
-    run_job(job, obs != nullptr ? obs->transport_lane() : 0);
+    // queue wait to budget — run immediately on the transport thread.
+    run_job(job);
     return;
   }
   {
@@ -566,16 +455,7 @@ void ServerCore::submit(const std::shared_ptr<OrderedWriter>& writer,
         const std::lock_guard<std::mutex> clock(counters_mu_);
         ++counters_.shed_overload;
       }
-      const std::int64_t hint = retry_hint_ms(depth);
-      if (obs != nullptr && obs->want_events()) {
-        obs->event(EventRecord(obs->ts_us(), "shed_overload")
-                       .field("id", job.query.id)
-                       .field("seq", seq)
-                       .field("depth", static_cast<std::uint64_t>(depth))
-                       .field("retry_after_ms", hint)
-                       .str());
-      }
-      writer->deliver(seq, overloaded_line(job.query.id, hint));
+      writer->deliver(seq, overloaded_line(job.query.id, retry_hint_ms(depth)));
       return;
     }
     queue_.push_back(std::move(job));
@@ -583,17 +463,9 @@ void ServerCore::submit(const std::shared_ptr<OrderedWriter>& writer,
   queue_cv_.notify_one();
 }
 
-void ServerCore::run_job(const Job& job, int lane) {
+void ServerCore::run_job(const Job& job) {
   Obs* obs = obs_.get();
-  if (obs != nullptr) {
-    const std::uint64_t now = obs->now_ns();
-    const std::uint64_t waited =
-        now > job.obs_admit_ns ? now - job.obs_admit_ns : 0;
-    obs->record(lane, Stage::kQueueWait, waited);
-    if (obs->want_spans()) {
-      obs->span("queue_wait", lane, job.query.id, job.seq, job.obs_admit_ns, now);
-    }
-  }
+  if (obs != nullptr) obs->record(Stage::kQueueWait, job.admitted);
   if (job.deadline_ms > 0) {
     const auto waited = std::chrono::steady_clock::now() - job.admitted;
     if (waited >= std::chrono::milliseconds(job.deadline_ms)) {
@@ -601,26 +473,12 @@ void ServerCore::run_job(const Job& job, int lane) {
         const std::lock_guard<std::mutex> lock(counters_mu_);
         ++counters_.shed_deadline;
       }
-      if (obs != nullptr && obs->want_events()) {
-        obs->event(
-            EventRecord(obs->ts_us(), "deadline_miss")
-                .field("id", job.query.id)
-                .field("seq", job.seq)
-                .field("waited_ms",
-                       std::chrono::duration<double, std::milli>(waited).count())
-                .str());
-      }
       job.writer->deliver(job.seq, error_line(job.query.id, "deadline"));
       return;
     }
   }
   const auto started = std::chrono::steady_clock::now();
-  ScenarioObs sobs;
-  net::SolverStats solver_before;
-  const bool slow_on = obs != nullptr && obs->want_slow_queries();
-  if (slow_on) solver_before = net::SolverStatsRegistry::global().snapshot();
-  std::string line =
-      answer(job.query, *caches_, obs, lane, job.seq, obs != nullptr ? &sobs : nullptr);
+  std::string line = answer(job.query, *caches_, obs);
   const std::chrono::duration<double, std::milli> took =
       std::chrono::steady_clock::now() - started;
   note_job_ms(took.count());
@@ -630,50 +488,11 @@ void ServerCore::run_job(const Job& job, int lane) {
     const std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.answered;
   }
-  const std::uint64_t t_flush0 = obs != nullptr ? obs->now_ns() : 0;
   job.writer->deliver(job.seq, std::move(line));
-  if (obs != nullptr) {
-    const std::uint64_t t_flush1 = obs->now_ns();
-    const std::uint64_t e2e_ns =
-        t_flush1 > job.obs_admit_ns ? t_flush1 - job.obs_admit_ns : 0;
-    obs->record(lane, Stage::kE2e, e2e_ns);
-    if (obs->want_spans()) {
-      obs->span("flush", lane, job.query.id, job.seq, t_flush0, t_flush1);
-      obs->span("e2e", lane, job.query.id, job.seq, job.obs_admit_ns, t_flush1);
-    }
-    const double e2e_ms = static_cast<double>(e2e_ns) / 1e6;
-    if (obs->want_events()) {
-      obs->event(EventRecord(obs->ts_us(), "flush")
-                     .field("id", job.query.id)
-                     .field("seq", job.seq)
-                     .field("e2e_ms", e2e_ms)
-                     .str());
-      if (slow_on && obs->slow(e2e_ms)) {
-        // Everything needed to explain the tail: the verbatim query, which
-        // cache layers hit, and what the solver did. The SolverStats delta
-        // is process-wide, so under concurrency it can include work from
-        // overlapping queries — an attribution hint, not an exact ledger.
-        const net::SolverStats after = net::SolverStatsRegistry::global().snapshot();
-        obs->event(
-            EventRecord(obs->ts_us(), "slow_query")
-                .field("id", job.query.id)
-                .field("seq", job.seq)
-                .field("e2e_ms", e2e_ms)
-                .field("line", job.raw_line)
-                .field("caches", sobs.chain())
-                .field("full_solves", after.full_solves - solver_before.full_solves)
-                .field("reference_solves",
-                       after.reference_solves - solver_before.reference_solves)
-                .field("reallocations",
-                       after.reallocations - solver_before.reallocations)
-                .str());
-      }
-    }
-  }
-  maybe_metrics_file();
+  if (obs != nullptr) obs->record(Stage::kE2e, job.admitted);
 }
 
-void ServerCore::worker(int lane) {
+void ServerCore::worker() {
   for (;;) {
     Job job;
     {
@@ -683,7 +502,7 @@ void ServerCore::worker(int lane) {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    run_job(job, lane);
+    run_job(job);
   }
 }
 
@@ -706,17 +525,6 @@ void ServerCore::note_job_ms(double ms) {
   } else {
     ewma_job_ms_ = 0.8 * ewma_job_ms_ + 0.2 * ms;
   }
-}
-
-void ServerCore::maybe_metrics_file() {
-  if (obs_ == nullptr || !obs_->want_metrics_file() || obs_->metrics_every() <= 0) return;
-  std::uint64_t answered;
-  {
-    const std::lock_guard<std::mutex> lock(counters_mu_);
-    answered = counters_.answered;
-  }
-  if (answered % static_cast<std::uint64_t>(obs_->metrics_every()) != 0) return;
-  obs_->write_metrics_file(prometheus_text());
 }
 
 }  // namespace gpucomm::serve

@@ -98,24 +98,14 @@ std::size_t samples_cost(const Samples& s) {
   return sizeof(Samples) + (s.us.size() + s.aborted_us.size()) * sizeof(double);
 }
 
-/// Record one cache probe on the (optional) observability trail.
-void note_lookup(ScenarioObs* obs, const char* cache, bool hit) {
-  if (obs != nullptr) obs->lookups.push_back({cache, hit});
-}
-
 /// Topology for (system, nodes, placement), through the cache when present.
 std::shared_ptr<const TopologySnapshot> topology_for(const SystemConfig& cfg, int nodes,
                                                      Placement placement,
-                                                     ServerCaches* caches,
-                                                     ScenarioObs* obs) {
+                                                     ServerCaches* caches) {
   if (caches == nullptr) return build_topology_snapshot(cfg, nodes, placement);
   const std::string key = cfg.name + "|nodes=" + std::to_string(nodes) +
                           "|placement=" + cli::placement_name(placement);
-  if (auto hit = caches->topologies.find(key)) {
-    note_lookup(obs, "topology", true);
-    return hit;
-  }
-  note_lookup(obs, "topology", false);
+  if (auto hit = caches->topologies.find(key)) return hit;
   auto snap = build_topology_snapshot(cfg, nodes, placement);
   caches->topologies.insert(key, snap, snap->memory_bytes());
   return snap;
@@ -188,8 +178,7 @@ Samples run_cell_size(const ScenarioQuery& q, const TopologySnapshot& topo,
 std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
                                                         ServerCaches* caches,
                                                         bool want_manifest,
-                                                        std::string& error,
-                                                        ScenarioObs* obs) {
+                                                        std::string& error) {
   const SystemConfig cfg = system_by_name(q.system);
   const int nodes = resolved_nodes(cfg, q.gpus, q.nodes);
 
@@ -219,7 +208,7 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
   }
 
   const std::shared_ptr<const TopologySnapshot> topo =
-      topology_for(cfg, nodes, q.placement, caches, obs);
+      topology_for(cfg, nodes, q.placement, caches);
 
   auto out = std::make_shared<ScenarioOutput>();
   metrics::RunManifest manifest;
@@ -263,11 +252,9 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
         key = q.core_key() + "|s=" + std::to_string(s) +
               "|b=" + std::to_string(sw.sizes[s]) + "|reps=" + std::to_string(reps);
         if (auto hit = caches->cells.find(key)) {
-          note_lookup(obs, "cells", true);
           samples[s] = *hit;
           continue;
         }
-        note_lookup(obs, "cells", false);
       }
       samples[s] = run_cell_size(q, *topo, copt, opt, s, sw.sizes[s], reps);
       if (caches != nullptr) {
@@ -368,36 +355,21 @@ std::shared_ptr<const ScenarioOutput> run_scenario_impl(const ScenarioQuery& q,
 
 }  // namespace
 
-std::string ScenarioObs::chain() const {
-  std::string out;
-  for (const Lookup& l : lookups) {
-    if (!out.empty()) out += ',';
-    out += l.cache;
-    out += l.hit ? ":hit" : ":miss";
-  }
-  return out;
-}
-
 std::shared_ptr<const ScenarioOutput> run_scenario(const ScenarioQuery& q,
                                                    ServerCaches* caches,
                                                    bool want_manifest,
-                                                   std::string& error,
-                                                   ScenarioObs* obs) {
+                                                   std::string& error) {
   // want_manifest is part of the response key: in coupled mode the profiled
   // extra iteration advances the cluster between sizes, so the two variants
   // are distinct experiments (the server only ever runs the true variant).
   std::string key;
   if (caches != nullptr) {
     key = q.canonical_key() + "|manifest=" + (want_manifest ? "1" : "0");
-    if (auto hit = caches->responses.find(key)) {
-      if (obs != nullptr) obs->lookups.push_back({"responses", true});
-      return hit;
-    }
-    if (obs != nullptr) obs->lookups.push_back({"responses", false});
+    if (auto hit = caches->responses.find(key)) return hit;
   }
   std::shared_ptr<const ScenarioOutput> out;
   try {
-    out = run_scenario_impl(q, caches, want_manifest, error, obs);
+    out = run_scenario_impl(q, caches, want_manifest, error);
   } catch (const std::exception& e) {
     error = e.what();
     return nullptr;

@@ -86,31 +86,15 @@ class ServerCaches {
   }
 };
 
-/// Per-query cache-attribution trail for observability (serve/obs.hpp): one
-/// entry per cache probe in execution order, so a slow-query record can say
-/// exactly which layers hit and which recomputed. Purely an out-parameter —
-/// recording it never changes what runs.
-struct ScenarioObs {
-  struct Lookup {
-    const char* cache;  // "responses" | "topology" | "cells"
-    bool hit;
-  };
-  std::vector<Lookup> lookups;
-  /// "topology:hit,cells:miss,..." — the event-log rendering of `lookups`.
-  std::string chain() const;
-};
-
 /// Run one scenario. `caches` may be nullptr (no reuse, e.g. a one-shot CLI
 /// run). `want_manifest` controls the coupled-mode profiler gating exactly
 /// as the CLI's --metrics-out does: when true, one extra unmeasured
 /// profiled iteration runs per size and the manifest carries the profile
 /// section; the server always passes true. Returns nullptr with a one-line
-/// `error` on invalid fault specs or construction failures. `obs`, when
-/// non-null, collects the cache lookup chain.
+/// `error` on invalid fault specs or construction failures.
 std::shared_ptr<const ScenarioOutput> run_scenario(const ScenarioQuery& q,
                                                    ServerCaches* caches,
                                                    bool want_manifest,
-                                                   std::string& error,
-                                                   ScenarioObs* obs = nullptr);
+                                                   std::string& error);
 
 }  // namespace gpucomm::serve

@@ -65,9 +65,9 @@ struct ServeOptions {
   /// ok:false response and is otherwise discarded (the socket transport
   /// additionally closes the offending connection).
   std::size_t max_line_bytes = 1u << 20;
-  /// Observability (serve/obs.hpp): event log, latency histograms, trace
-  /// spans, metrics snapshots. Off by default; zero overhead when off, and
-  /// scenario response bytes are identical at any setting.
+  /// Observability (serve/obs.hpp): per-stage latency histograms for
+  /// `stats`/`metrics`. Off by default; no clock is read when off, and
+  /// scenario response bytes are identical either way.
   ObsOptions obs;
 };
 
@@ -93,7 +93,7 @@ struct ServeResult {
   bool shutdown = false;
   /// Final counter snapshot (after the worker pool drained).
   ServerCounters counters;
-  /// Merged latency histogram snapshot; all zeros when observability is off.
+  /// Latency histogram snapshot; all zeros when the histograms are off.
   LatencyStats latency;
 };
 

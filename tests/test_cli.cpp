@@ -90,6 +90,13 @@ TEST(CliArgs, UnknownFlagFailsWithItsName) {
     EXPECT_NE(err.find(flag), std::string::npos) << err;
     EXPECT_EQ(err.find('\n'), std::string::npos) << err;
   }
+  // The removed server observability sinks are unknown even with --serve.
+  for (const char* flag : {"--serve-log", "--serve-log-max-mb", "--serve-trace",
+                           "--serve-metrics-file", "--serve-metrics-every",
+                           "--serve-slow-ms"}) {
+    EXPECT_FALSE(parse({"--serve", flag, "4"}, err).has_value()) << flag;
+    EXPECT_EQ(err, "unknown flag '" + std::string(flag) + "'");
+  }
 }
 
 TEST(CliArgs, MissingValueFails) {
@@ -194,20 +201,11 @@ TEST(CliArgs, ServeRoundTrips) {
   EXPECT_EQ(def->serve_deadline_ms, 0);
   EXPECT_EQ(def->serve_max_queue, 1024);
   EXPECT_EQ(def->serve_max_line_bytes, 1u << 20);
-  EXPECT_TRUE(def->serve_log.empty());
-  EXPECT_EQ(def->serve_log_max_mb, 64);
-  EXPECT_TRUE(def->serve_trace.empty());
-  EXPECT_TRUE(def->serve_metrics_file.empty());
-  EXPECT_EQ(def->serve_metrics_every, 0);
-  EXPECT_EQ(def->serve_slow_ms, 0);
 
   const auto a = parse({"--serve", "--serve-jobs", "8", "--serve-cache-mb", "64",
                         "--serve-socket", "/tmp/gpucomm.sock", "--serve-deadline-ms",
                         "5000", "--serve-max-queue", "32", "--serve-max-line-bytes",
-                        "4096", "--serve-log", "/tmp/s.log",
-                        "--serve-log-max-mb", "8", "--serve-trace", "/tmp/s.trace",
-                        "--serve-metrics-file", "/tmp/s.prom", "--serve-metrics-every",
-                        "50", "--serve-slow-ms", "250"},
+                        "4096"},
                        err);
   ASSERT_TRUE(a.has_value()) << err;
   EXPECT_TRUE(a->serve);
@@ -217,12 +215,6 @@ TEST(CliArgs, ServeRoundTrips) {
   EXPECT_EQ(a->serve_deadline_ms, 5000);
   EXPECT_EQ(a->serve_max_queue, 32);
   EXPECT_EQ(a->serve_max_line_bytes, 4096u);
-  EXPECT_EQ(a->serve_log, "/tmp/s.log");
-  EXPECT_EQ(a->serve_log_max_mb, 8);
-  EXPECT_EQ(a->serve_trace, "/tmp/s.trace");
-  EXPECT_EQ(a->serve_metrics_file, "/tmp/s.prom");
-  EXPECT_EQ(a->serve_metrics_every, 50);
-  EXPECT_EQ(a->serve_slow_ms, 250);
 }
 
 TEST(CliArgs, ServeRejectsScenarioFlags) {
@@ -245,12 +237,6 @@ TEST(CliArgs, ServeSubflagsRequireServe) {
   EXPECT_FALSE(parse({"--serve-deadline-ms", "100"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-max-queue", "16"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-max-line-bytes", "4096"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-log", "/tmp/s.log"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-log-max-mb", "8"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-trace", "/tmp/s.trace"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-metrics-file", "/tmp/s.prom"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-metrics-every", "50"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-slow-ms", "250"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-jobs", "0", "--serve"}, err).has_value());
   EXPECT_FALSE(parse({"--serve", "--serve-cache-mb", "abc"}, err).has_value());
   // A flag given at its default value is still a server flag: without
@@ -260,14 +246,11 @@ TEST(CliArgs, ServeSubflagsRequireServe) {
   EXPECT_FALSE(parse({"--serve-cache-mb", "256"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-max-queue", "1024"}, err).has_value());
   EXPECT_FALSE(parse({"--serve-max-line-bytes", "1048576"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-log-max-mb", "64"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-deadline-ms", "0"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-metrics-every", "0"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve-slow-ms", "0", "--gpus", "4"}, err).has_value());
-  EXPECT_EQ(err, "'--serve-slow-ms' requires --serve");
+  EXPECT_FALSE(parse({"--serve-deadline-ms", "0", "--gpus", "4"}, err).has_value());
+  EXPECT_EQ(err, "'--serve-deadline-ms' requires --serve");
   // The first server flag is the one named.
-  EXPECT_FALSE(parse({"--serve-trace", "t.json", "--serve-jobs", "2"}, err).has_value());
-  EXPECT_EQ(err, "'--serve-trace' requires --serve");
+  EXPECT_FALSE(parse({"--serve-socket", "s.sock", "--serve-jobs", "2"}, err).has_value());
+  EXPECT_EQ(err, "'--serve-socket' requires --serve");
   // Removed flags are unknown, with or without --serve.
   EXPECT_FALSE(parse({"--serve", "--serve-cache-file", "/tmp/c"}, err).has_value());
   EXPECT_EQ(err, "unknown flag '--serve-cache-file'");
@@ -286,18 +269,6 @@ TEST(CliArgs, ServeHardeningFlagsRejectBadRanges) {
   // Zero is meaningful, not an error: no deadline, unbounded queue.
   EXPECT_TRUE(parse({"--serve", "--serve-deadline-ms", "0"}, err).has_value()) << err;
   EXPECT_TRUE(parse({"--serve", "--serve-max-queue", "0"}, err).has_value()) << err;
-  // Observability flags: value-taking paths and strict numeric ranges.
-  EXPECT_FALSE(parse({"--serve", "--serve-log"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-trace"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-metrics-file"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-log-max-mb", "0"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-log-max-mb", "abc"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-metrics-every", "-1"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-slow-ms", "-1"}, err).has_value());
-  EXPECT_FALSE(parse({"--serve", "--serve-slow-ms", "86400001"}, err).has_value());
-  // Zero cadence/threshold means "only at drain" / "off", not an error.
-  EXPECT_TRUE(parse({"--serve", "--serve-metrics-every", "0"}, err).has_value()) << err;
-  EXPECT_TRUE(parse({"--serve", "--serve-slow-ms", "0"}, err).has_value()) << err;
 }
 
 TEST(CliArgs, SharedVocabularyHelpers) {
@@ -333,9 +304,7 @@ TEST(CliArgs, MutatedArgvFailsCleanly) {
        "at 1us down link 4"},
       {"--serve", "--serve-jobs", "4", "--serve-cache-mb", "64", "--serve-socket",
        "/tmp/s.sock", "--serve-deadline-ms", "500", "--serve-max-queue", "32",
-       "--serve-max-line-bytes", "4096", "--serve-log", "s.log", "--serve-log-max-mb", "8",
-       "--serve-trace", "s.trace", "--serve-metrics-file", "s.prom",
-       "--serve-metrics-every", "50", "--serve-slow-ms", "250"},
+       "--serve-max-line-bytes", "4096"},
       {"--system", "lumi", "--op", "alltoall", "--mechanism", "mpi", "--gpus", "8",
        "--jobs", "4", "--min", "8", "--max", "8", "--iters", "3", "--dump-schedule"},
   };

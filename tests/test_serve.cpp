@@ -4,8 +4,6 @@
 // served manifest equals the standalone CLI artifact by construction.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "gpucomm/cluster/cluster.hpp"
@@ -520,66 +518,19 @@ TEST(ServeLoop, ShutdownStopsTheLoop) {
   EXPECT_NE(lines[0].find("\"control\":\"shutdown\""), std::string::npos);
 }
 
-// --- observability (serve/obs.hpp) ------------------------------------------
+// --- latency histograms (serve/obs.hpp) -------------------------------------
 
-std::string obs_temp(const std::string& stem) {
-  return testing::TempDir() + "gpucomm_obs_" + stem;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  std::ostringstream os;
-  os << f.rdbuf();
-  return os.str();
-}
-
-TEST(ObsRing, OverflowDropsNewestAndCountsExactly) {
-  BoundedLogRing ring(3);
-  EXPECT_TRUE(ring.push("a"));
-  EXPECT_TRUE(ring.push("b"));
-  EXPECT_TRUE(ring.push("c"));
-  EXPECT_FALSE(ring.push("d"));  // full: dropped, not blocking
-  EXPECT_FALSE(ring.push("e"));
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.pushed(), 5u);
-  EXPECT_EQ(ring.dropped(), 2u);
-  const auto batch = ring.take_all();
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch.front(), "a");  // drop-newest keeps the oldest records
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_TRUE(ring.push("f"));  // drained ring accepts again
-  EXPECT_EQ(ring.pushed(), 6u);
-  EXPECT_EQ(ring.dropped(), 2u);
-}
-
-TEST(ObsEventRecord, BuildsOneValidJsonLine) {
-  const std::string rec = EventRecord(42, "admit")
-                              .field("id", std::int64_t{-3})
-                              .field("seq", std::uint64_t{7})
-                              .field("note", std::string("a\"b"))
-                              .field_bool("ok", true)
-                              .str();
-  EXPECT_TRUE(is_json(rec)) << rec;
-  EXPECT_EQ(rec.substr(0, 26), R"({"ts_us":42,"type":"admit")");
-  EXPECT_NE(rec.find("\"id\":-3"), std::string::npos);
-  EXPECT_NE(rec.find("\"note\":\"a\\\"b\""), std::string::npos);
-  EXPECT_NE(rec.find("\"ok\":true"), std::string::npos);
-}
-
-/// serve() with every observability sink enabled, writing to temp files.
-std::string serve_full_obs(const std::string& input, int jobs, const std::string& tag) {
+/// serve() with the latency histograms on.
+ServeResult serve_timed(const std::string& input, int jobs, std::string& out_text) {
   std::istringstream in(input);
   std::ostringstream out;
   ServeOptions o;
   o.jobs = jobs;
   o.cache_bytes = 64u << 20;
-  o.obs.log_path = obs_temp(tag + ".log");
-  o.obs.trace_path = obs_temp(tag + ".trace.json");
-  o.obs.metrics_path = obs_temp(tag + ".prom");
-  o.obs.metrics_every = 2;
-  o.obs.slow_ms = 1;  // most queries qualify: exercises slow_query records
-  serve_loop(in, out, o);
-  return out.str();
+  o.obs.latency = true;
+  const ServeResult r = serve_loop(in, out, o);
+  out_text = out.str();
+  return r;
 }
 
 TEST(ServeObs, ResponsesByteIdenticalWithObservabilityOnOrOff) {
@@ -592,188 +543,65 @@ TEST(ServeObs, ResponsesByteIdenticalWithObservabilityOnOrOff) {
   in << R"({"id": 9, "control": "ping"})" << "\n";
   in << "not json\n";
   const std::string plain = serve(in.str(), 1);
-  EXPECT_EQ(serve_full_obs(in.str(), 1, "ident1"), plain);
-  EXPECT_EQ(serve_full_obs(in.str(), 4, "ident4"), plain);
+  for (const int jobs : {1, 4}) {
+    std::string timed;
+    serve_timed(in.str(), jobs, timed);
+    EXPECT_EQ(timed, plain) << "jobs " << jobs;
+  }
 }
 
 TEST(ServeObs, LatencyCountsEqualAnsweredAndSurfaceInStats) {
-  std::istringstream in(std::string(kQ1) + "\n" + kQ1 + "\n" +
-                        R"({"id": 5, "control": "stats"})" + "\n");
-  std::ostringstream out;
-  ServeOptions o;
-  o.jobs = 2;
-  o.cache_bytes = 64u << 20;
-  o.obs.latency = true;
-  const ServeResult r = serve_loop(in, out, o);
-  const auto& e2e = r.latency.stage[static_cast<int>(Stage::kE2e)];
-  EXPECT_EQ(e2e.count, r.counters.answered);
-  EXPECT_EQ(e2e.count, 2u);
-  EXPECT_GT(e2e.max_us, 0.0);
-  EXPECT_LE(e2e.p50_us, e2e.max_us);
-  // Parse covers every request line (scenario and control alike).
-  EXPECT_EQ(r.latency.stage[static_cast<int>(Stage::kParse)].count, 3u);
-  const auto lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_TRUE(is_json(lines[2])) << lines[2];
-  EXPECT_NE(lines[2].find("\"latency\""), std::string::npos) << lines[2];
-  EXPECT_NE(lines[2].find("\"e2e_us\""), std::string::npos) << lines[2];
-  EXPECT_NE(lines[2].find("\"queue_wait_us\""), std::string::npos) << lines[2];
+  // jobs 4 records from four workers at once into the one histogram set.
+  for (const int jobs : {2, 4}) {
+    const int queries = jobs == 2 ? 2 : 8;
+    std::ostringstream in;
+    for (int i = 0; i < queries; ++i) {
+      in << R"({"id": )" << i
+         << R"(, "op": "pingpong", "mechanism": "mpi", "gpus": 2, "min": )"
+         << (1024 << (i % 4)) << R"(, "max": )" << (1024 << (i % 4))
+         << R"(, "iters": 2})" << "\n";
+    }
+    in << R"({"id": 50, "control": "stats"})" << "\n";
+    std::string text;
+    const ServeResult r = serve_timed(in.str(), jobs, text);
+    const auto& e2e = r.latency.stage[static_cast<int>(Stage::kE2e)];
+    EXPECT_EQ(e2e.count, r.counters.answered) << "jobs " << jobs;
+    EXPECT_EQ(e2e.count, static_cast<std::uint64_t>(queries)) << "jobs " << jobs;
+    EXPECT_GT(e2e.max_us, 0.0);
+    EXPECT_LE(e2e.p50_us, e2e.max_us);
+    // Parse covers every request line (scenario and control alike).
+    EXPECT_EQ(r.latency.stage[static_cast<int>(Stage::kParse)].count,
+              static_cast<std::uint64_t>(queries + 1))
+        << "jobs " << jobs;
+    const auto lines = lines_of(text);
+    ASSERT_EQ(lines.size(), static_cast<std::size_t>(queries + 1));
+    const std::string& stats = lines.back();
+    EXPECT_TRUE(is_json(stats)) << stats;
+    EXPECT_NE(stats.find("\"latency\""), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"e2e_us\""), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"queue_wait_us\""), std::string::npos) << stats;
+  }
 }
 
 TEST(ServeObs, MetricsControlEmitsPrometheusText) {
-  // `metrics` works with observability off (counters only) ...
-  const auto off = lines_of(serve(std::string(kQ1) + "\n" +
-                                  R"({"id": 2, "control": "metrics"})" + "\n"));
+  // `metrics` works with the histograms off (counters only) ...
+  const std::string input =
+      std::string(kQ1) + "\n" + R"({"id": 2, "control": "metrics"})" + "\n";
+  const auto off = lines_of(serve(input));
   ASSERT_EQ(off.size(), 2u);
   EXPECT_TRUE(is_json(off[1])) << off[1];
   EXPECT_NE(off[1].find("\"control\":\"metrics\""), std::string::npos);
   EXPECT_NE(off[1].find("gpucomm_serve_answered_total 1"), std::string::npos) << off[1];
   EXPECT_EQ(off[1].find("latency_us"), std::string::npos);
 
-  // ... and gains the latency section when histograms are on.
-  std::istringstream in(std::string(kQ1) + "\n" +
-                        R"({"id": 2, "control": "metrics"})" + "\n");
-  std::ostringstream out;
-  ServeOptions o;
-  o.jobs = 1;
-  o.cache_bytes = 64u << 20;
-  o.obs.latency = true;
-  serve_loop(in, out, o);
-  const auto on = lines_of(out.str());
+  // ... and gains the latency section when they are on.
+  std::string text;
+  serve_timed(input, 1, text);
+  const auto on = lines_of(text);
   ASSERT_EQ(on.size(), 2u);
   EXPECT_TRUE(is_json(on[1])) << on[1];
   EXPECT_NE(on[1].find("gpucomm_serve_latency_us"), std::string::npos) << on[1];
   EXPECT_NE(on[1].find("quantile="), std::string::npos) << on[1];
-}
-
-TEST(ServeObs, EventLogRecordsQueryLifecycleAndFinalTally) {
-  const std::string log = obs_temp("lifecycle.log");
-  std::remove(log.c_str());
-  {
-    std::istringstream in(std::string(kQ1) + "\n" + "not json\n");
-    std::ostringstream out;
-    ServeOptions o;
-    o.jobs = 1;
-    o.cache_bytes = 64u << 20;
-    o.obs.log_path = log;
-    o.obs.slow_ms = 1;
-    serve_loop(in, out, o);
-  }
-  const auto records = lines_of(slurp(log));
-  ASSERT_FALSE(records.empty());
-  for (const std::string& r : records) {
-    EXPECT_TRUE(is_json(r)) << r;
-  }
-  auto count_type = [&](const std::string& type) {
-    std::size_t n = 0;
-    const std::string needle = "\"type\":\"" + type + "\"";
-    for (const std::string& r : records) {
-      if (r.find(needle) != std::string::npos) ++n;
-    }
-    return n;
-  };
-  EXPECT_EQ(count_type("admit"), 1u);
-  EXPECT_EQ(count_type("run_start"), 1u);
-  EXPECT_EQ(count_type("run_finish"), 1u);
-  EXPECT_EQ(count_type("render"), 1u);
-  EXPECT_EQ(count_type("flush"), 1u);
-  EXPECT_EQ(count_type("parse_error"), 1u);
-  EXPECT_GE(count_type("cache"), 1u);  // per-cache lookup trail
-  ASSERT_EQ(count_type("serve_drained"), 1u);
-  // The final record is last and carries the tally the stderr line prints.
-  EXPECT_NE(records.back().find("\"type\":\"serve_drained\""), std::string::npos);
-  EXPECT_NE(records.back().find("\"answered\":1"), std::string::npos) << records.back();
-  EXPECT_NE(records.back().find("\"parse_errors\":1"), std::string::npos);
-  std::remove(log.c_str());
-}
-
-TEST(ServeObs, SlowQueryRecordCarriesLineAndCacheChain) {
-  const std::string log = obs_temp("slow.log");
-  std::remove(log.c_str());
-  {
-    std::istringstream in(std::string(kQ1) + "\n");
-    std::ostringstream out;
-    ServeOptions o;
-    o.jobs = 1;
-    o.cache_bytes = 64u << 20;
-    o.obs.log_path = log;
-    o.obs.slow_ms = 1;  // a cold 2-iteration run takes well over 1 ms
-    serve_loop(in, out, o);
-  }
-  const auto records = lines_of(slurp(log));
-  std::string slow;
-  for (const std::string& r : records) {
-    if (r.find("\"type\":\"slow_query\"") != std::string::npos) slow = r;
-  }
-  ASSERT_FALSE(slow.empty());
-  EXPECT_NE(slow.find("\"line\":"), std::string::npos) << slow;
-  EXPECT_NE(slow.find("\"caches\":"), std::string::npos) << slow;
-  EXPECT_NE(slow.find("responses:miss"), std::string::npos) << slow;
-  EXPECT_NE(slow.find("\"full_solves\":"), std::string::npos) << slow;
-  std::remove(log.c_str());
-}
-
-TEST(ServeObs, TraceAndMetricsFilesWrittenAtDrain) {
-  const std::string trace = obs_temp("drain.trace.json");
-  const std::string prom = obs_temp("drain.prom");
-  std::remove(trace.c_str());
-  std::remove(prom.c_str());
-  {
-    std::istringstream in(std::string(kQ1) + "\n");
-    std::ostringstream out;
-    ServeOptions o;
-    o.jobs = 2;
-    o.cache_bytes = 64u << 20;
-    o.obs.trace_path = trace;
-    o.obs.metrics_path = prom;
-    serve_loop(in, out, o);
-  }
-  const std::string trace_text = slurp(trace);
-  EXPECT_TRUE(is_json(trace_text)) << trace_text.substr(0, 200);
-  EXPECT_NE(trace_text.find("\"scenario-server\""), std::string::npos);
-  for (const char* span : {"queue_wait", "run", "render", "flush", "e2e"}) {
-    EXPECT_NE(trace_text.find("\"name\":\"" + std::string(span) + "\""),
-              std::string::npos)
-        << span;
-  }
-  const std::string prom_text = slurp(prom);
-  EXPECT_NE(prom_text.find("# TYPE gpucomm_serve_answered_total counter"),
-            std::string::npos);
-  EXPECT_NE(prom_text.find("gpucomm_serve_answered_total 1"), std::string::npos);
-  EXPECT_NE(prom_text.find("gpucomm_serve_latency_us"), std::string::npos);
-  std::remove(trace.c_str());
-  std::remove(prom.c_str());
-}
-
-TEST(ServeObs, EventLogRotatesPastSizeBound) {
-  const std::string log = obs_temp("rotate.log");
-  std::remove(log.c_str());
-  std::remove((log + ".1").c_str());
-  ObsOptions opt;
-  opt.log_path = log;
-  opt.log_max_bytes = 512;  // a few records per generation
-  {
-    Obs obs(opt, 1);
-    for (int i = 0; i < 64; ++i) {
-      obs.event(EventRecord(obs.ts_us(), "filler").field("i", std::int64_t{i}).str());
-    }
-    obs.finalize(EventRecord(obs.ts_us(), "serve_drained").str(), std::string());
-    const LatencyStats stats = obs.latency();
-    EXPECT_GT(stats.log_rotations, 0u);
-    EXPECT_EQ(stats.log_records, 65u);
-  }
-  // Both generations exist, are bounded, and hold only whole JSON records.
-  const std::string current = slurp(log);
-  const std::string previous = slurp(log + ".1");
-  ASSERT_FALSE(current.empty());
-  ASSERT_FALSE(previous.empty());
-  EXPECT_LE(previous.size(), 512u + 128u);
-  for (const std::string& r : lines_of(current + previous)) {
-    EXPECT_TRUE(is_json(r)) << r;
-  }
-  EXPECT_NE(current.find("serve_drained"), std::string::npos);
-  std::remove(log.c_str());
-  std::remove((log + ".1").c_str());
 }
 
 TEST(ServeLoop, ServedManifestEqualsStandaloneArtifact) {

@@ -13,9 +13,6 @@
 //   gpucomm_cli --serve [--serve-jobs N] [--serve-cache-mb N]
 //               [--serve-socket path] [--serve-deadline-ms N]
 //               [--serve-max-queue N] [--serve-max-line-bytes N]
-//               [--serve-log path] [--serve-log-max-mb N] [--serve-trace path]
-//               [--serve-metrics-file path] [--serve-metrics-every N]
-//               [--serve-slow-ms N]
 //
 // Flags are validated strictly (harness/cli_args.hpp): a malformed value or
 // unknown name prints one line on stderr and exits with status 2.
@@ -100,7 +97,8 @@ constexpr const char* kUsage =
     "                                  full percentiles; deterministic output)\n"
     "  [--dump-schedule]               print the Schedule IR instead of timings\n"
     "  [--faults spec]                 fault schedule file or inline spec\n"
-    "or: %s --serve                    persistent scenario server: JSON-lines\n"
+    "or: %s --serve\n"
+    "                                  persistent scenario server: JSON-lines\n"
     "                                  queries on stdin, one response per line\n"
     "                                  (docs/SERVER.md)\n"
     "  [--serve-jobs N]                worker threads answering queries\n"
@@ -112,16 +110,7 @@ constexpr const char* kUsage =
     "                                  expired queries answer error \"deadline\"\n"
     "  [--serve-max-queue N]           admission bound; overflow answers error\n"
     "                                  \"overloaded\" with retry_after_ms (0 = off)\n"
-    "  [--serve-max-line-bytes N]      longest accepted request line (default 1MiB)\n"
-    "  [--serve-log path]              structured JSON-lines event log (admissions,\n"
-    "                                  sheds, cache hits, solves, connections)\n"
-    "  [--serve-log-max-mb N]          rotate the event log past N MiB (default 64)\n"
-    "  [--serve-trace path]            Chrome-trace spans per query (queue/parse/\n"
-    "                                  run/render/flush/e2e), written at drain\n"
-    "  [--serve-metrics-file path]     Prometheus text snapshot, written at drain\n"
-    "  [--serve-metrics-every N]       ...and refreshed every N answered queries\n"
-    "  [--serve-slow-ms N]             log a slow_query record (query line, cache\n"
-    "                                  chain, solver deltas) at or above N ms\n";
+    "  [--serve-max-line-bytes N]      longest accepted request line (default 1MiB)\n";
 
 /// Print the schedule(s) the communicator's plan() selects at each size in
 /// the sweep. For allgather the sweep size is the per-rank contribution,
@@ -176,12 +165,8 @@ int run_serve(const cli::CliArgs& a, const char* argv0) {
   o.deadline_ms = a.serve_deadline_ms;
   o.max_queue = a.serve_max_queue;
   o.max_line_bytes = a.serve_max_line_bytes;
-  o.obs.log_path = a.serve_log;
-  o.obs.log_max_bytes = static_cast<std::size_t>(a.serve_log_max_mb) << 20;
-  o.obs.trace_path = a.serve_trace;
-  o.obs.metrics_path = a.serve_metrics_file;
-  o.obs.metrics_every = a.serve_metrics_every;
-  o.obs.slow_ms = a.serve_slow_ms;
+  // The stage histograms behind `stats`/`metrics` are always on here.
+  o.obs.latency = true;
   if (a.serve_socket.empty()) {
     serve::serve_loop(std::cin, std::cout, o);
     return 0;
